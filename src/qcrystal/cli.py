@@ -23,15 +23,14 @@ from . import ptops
 from . import tableaux as tb
 from . import typeb
 from . import verify as verify_mod
+from . import words
 
 
 def _shape(text: str) -> tuple[int, ...]:
     try:
-        shape = tuple(int(x) for x in text.split(",") if x)
-        tb.check_strict(shape)
+        return tb.parse_shape(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return shape
 
 
 def _require(args, names):
@@ -42,38 +41,52 @@ def _require(args, names):
 
 def cmd_insert(args) -> int:
     if args.algo == "hm":
-        p, q = mixed.hm(args.input)
+        p, q = mixed.hm(typeb.parse_word(args.input))
         print("P:", tb.fmt_primed(p))
         print("Q:", tb.fmt_plain(q))
     elif args.algo == "kr":
-        p, q = kw.kr(args.input)
+        p, q = kw.kr(typeb.parse_word(args.input))
         print("P:", tb.fmt_plain(p))
         print("Q:", tb.fmt_plain(q))
     else:
-        p, t = kw.pkr(args.input)
+        p, t = kw.pkr(typeb.parse_factorization(args.input))
         print("P:", tb.fmt_plain(p))
         print("T:", tb.fmt_primed(t))
     return 0
 
 
+def _check_seed(seed, msg, shape) -> None:
+    if msg is not None:
+        raise ValueError(f"seed: {msg}")
+    if tb.shape_of(seed) != shape:
+        raise ValueError(f"seed has shape {tb.shape_of(seed)}, "
+                         f"expected {shape}")
+
+
 def _graph_model_and_seed(args):
     if args.model == "words":
         _require(args, ["n", "seed"])
-        return models.model_words(args.n), args.seed
+        seed = typeb.parse_word(args.seed)
+        words.weight(seed, args.n)  # rejects letters outside 1..n
+        return models.model_words(args.n), seed
     if args.model == "pt":
         _require(args, ["n", "shape"])
         seed = (tb.parse_primed(args.seed) if args.seed
                 else ptops.highest_pt(args.n, args.shape))
+        _check_seed(seed, tb.validate_pt(seed, n=args.n), args.shape)
         return models.model_pt(args.n), seed
     if args.model == "ssdt":
         _require(args, ["n", "shape"])
         seed = (tb.parse_plain(args.seed) if args.seed
                 else models.highest_ssdt(args.n, args.shape))
+        _check_seed(seed, tb.validate_ssdt(seed, n=args.n), args.shape)
         return models.model_ssdt(args.n), seed
     if args.model == "spt":
         _require(args, ["m", "shape"])
         seed = (tb.parse_primed(args.seed) if args.seed
                 else ptops.highest_pt(args.m, args.shape))
+        msg = tb.validate_pt(seed, n=args.m, diagonal_unprimed=False)
+        _check_seed(seed, msg, args.shape)
         return models.model_spt(args.m), seed
     _require(args, ["perm", "m"])
     perm = typeb.parse_perm(args.perm)
@@ -81,6 +94,11 @@ def _graph_model_and_seed(args):
             else models.seed_factorization(perm, args.m))
     if len(seed) != args.m:
         raise ValueError(f"seed has {len(seed)} factors, expected {args.m}")
+    word = typeb.fact_word(seed)
+    if (typeb.apply_word(word, len(perm)) != perm
+            or len(word) != typeb.length(perm)):
+        raise ValueError(f"seed word {typeb.fmt_word(word)} is not a reduced "
+                         f"word of {typeb.fmt_perm(perm)}")
     return models.model_fact(args.m), seed
 
 
@@ -118,6 +136,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1 or args.max_size < 1:
+        raise ValueError("--n and --max-size must be at least 1")
     perm = typeb.parse_perm(args.perm) if args.perm else None
     if args.corrupt and args.suite != "axioms":
         raise ValueError("--corrupt only applies to --suite axioms")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
 Element = Hashable
@@ -51,25 +52,25 @@ class CrystalModel:
         return out
 
 
-def eps(model: CrystalModel, i: int, b: Element) -> int:
-    """Number of times e(i, .) applies before vanishing."""
+def _chain_length(op: Callable, name: str, i: int, b: Element) -> int:
+    """Number of times op(i, .) applies to b before vanishing."""
     k = 0
     while b is not None:
-        b = model.e(i, b)
+        b = op(i, b)
         k += 1
         if k > _STEP_GUARD:
-            raise RuntimeError(f"e({i}, .) chain exceeded {_STEP_GUARD} steps")
+            raise RuntimeError(
+                f"{name}({i}, .) chain exceeded {_STEP_GUARD} steps")
     return k - 1
+
+
+def eps(model: CrystalModel, i: int, b: Element) -> int:
+    """Number of times e(i, .) applies before vanishing."""
+    return _chain_length(model.e, "e", i, b)
 
 
 def phi(model: CrystalModel, i: int, b: Element) -> int:
-    k = 0
-    while b is not None:
-        b = model.f(i, b)
-        k += 1
-        if k > _STEP_GUARD:
-            raise RuntimeError(f"f({i}, .) chain exceeded {_STEP_GUARD} steps")
-    return k - 1
+    return _chain_length(model.f, "f", i, b)
 
 
 def pairing(model: CrystalModel, i: int, b: Element) -> int:
@@ -106,31 +107,27 @@ def w0_word(n: int) -> list[int]:
     return [i for k in range(n - 1, 0, -1) for i in range(1, k + 1)]
 
 
-def odd_e_bar(model: CrystalModel, i: int, b: Element) -> Optional[Element]:
-    """The raising operator of color i-bar, reduced to e_bar by Weyl moves."""
-    if model.e_bar is None:
+def _odd_conjugated(model: CrystalModel, bar, i: int,
+                    b: Element) -> Optional[Element]:
+    """The color-1 odd operator bar moved to color i by Weyl moves."""
+    if bar is None:
         raise ValueError(f"model {model.name} has no odd operators")
     if i == 1:
-        return model.e_bar(b)
+        return bar(b)
     word = w_word(i)
-    c = weyl_w(model, word, b)
-    c = model.e_bar(c)
+    c = bar(weyl_w(model, word, b))
     if c is None:
         return None
     return weyl_w(model, list(reversed(word)), c)
+
+
+def odd_e_bar(model: CrystalModel, i: int, b: Element) -> Optional[Element]:
+    """The raising operator of color i-bar, reduced to e_bar by Weyl moves."""
+    return _odd_conjugated(model, model.e_bar, i, b)
 
 
 def odd_f_bar(model: CrystalModel, i: int, b: Element) -> Optional[Element]:
-    if model.f_bar is None:
-        raise ValueError(f"model {model.name} has no odd operators")
-    if i == 1:
-        return model.f_bar(b)
-    word = w_word(i)
-    c = weyl_w(model, word, b)
-    c = model.f_bar(c)
-    if c is None:
-        return None
-    return weyl_w(model, list(reversed(word)), c)
+    return _odd_conjugated(model, model.f_bar, i, b)
 
 
 def is_q_highest(model: CrystalModel, b: Element) -> bool:
@@ -257,20 +254,24 @@ def _graph_string(graph: CrystalGraph, edges: dict, color: Color,
     return k
 
 
+def _fail(failures: list, graph: CrystalGraph, condition: str,
+          color: Color, u: int, detail: str) -> None:
+    """Record one axiom violation at vertex index u."""
+    failures.append(
+        {
+            "condition": condition,
+            "color": color,
+            "vertex": graph.model.fmt(graph.vertices[u]),
+            "detail": detail,
+        }
+    )
+
+
 def check_gl_axioms(graph: CrystalGraph) -> dict:
     """Check the gl(n) crystal conditions on every vertex of the graph."""
     model = graph.model
     failures: list[dict] = []
-
-    def fail(condition: str, color: Color, u: int, detail: str) -> None:
-        failures.append(
-            {
-                "condition": condition,
-                "color": color,
-                "vertex": model.fmt(graph.vertices[u]),
-                "detail": detail,
-            }
-        )
+    fail = partial(_fail, failures, graph)
 
     even = [i for i in graph.colors if isinstance(i, int)]
     eps_g: dict[tuple[int, int], int] = {}
@@ -333,16 +334,7 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     model = graph.model
     report = check_gl_axioms(graph)
     failures = report["failures"]
-
-    def fail(condition: str, color: Color, u: int, detail: str) -> None:
-        failures.append(
-            {
-                "condition": condition,
-                "color": color,
-                "vertex": model.fmt(graph.vertices[u]),
-                "detail": detail,
-            }
-        )
+    fail = partial(_fail, failures, graph)
 
     if model.e_bar is None or model.f_bar is None:
         fail("q0", "b1", 0, "model lacks odd operators")

@@ -8,8 +8,10 @@ tableau does).  The odd operators have a direct description on the first
 two factors, implemented here; ``e_bar1_transport``/``f_bar1_transport``
 compute the same maps the slow way for cross-checking.
 
-All operators accept either a factorization tuple or its text form and
-answer in kind.  ``None`` means the operator is undefined there.
+All operators take a factorization tuple, check it with
+``typeb.check_factorization`` and answer with a tuple; the text form
+"(+01)(-2)" is parsed and printed only by ``typeb``.  ``None`` means the
+operator is undefined there.
 """
 
 from . import kraskiewicz as kw
@@ -18,25 +20,14 @@ from . import tableaux as tb
 from . import typeb
 
 
-def _coerce(fact):
-    if isinstance(fact, str):
-        return typeb.parse_factorization(fact), True
-    return typeb.check_factorization(fact), False
-
-
-def _like(as_str, result):
-    if result is None:
-        return None
-    return typeb.fmt_factorization(result) if as_str else result
-
-
 def e_bar1_fact(fact):
     """Odd raising operator: pulls a letter from factor two into factor one.
 
-    >>> e_bar1_fact("(+201)(-2)()")
+    >>> fmt, parse = typeb.fmt_factorization, typeb.parse_factorization
+    >>> fmt(e_bar1_fact(parse("(+201)(-2)()")))
     '(+2012)()()'
     """
-    fact, as_str = _coerce(fact)
+    fact = typeb.check_factorization(fact)
     if len(fact) < 2:
         return None
     (s1, a1), (s2, a2) = fact[0], fact[1]
@@ -47,25 +38,24 @@ def e_bar1_fact(fact):
         if not tb.is_unimodal(new_a1):
             return None
         # |a2| >= 2, else new_a1 would be the whole non-unimodal concat
-        out = ((s1, new_a1), (s2, a2[1:])) + fact[2:]
-        return _like(as_str, out)
+        return ((s1, new_a1), (s2, a2[1:])) + fact[2:]
     if not a2 or (s1 != 0 and s2 > 0):
         return None
     new_s1 = s1 if a1 else s2
     new_s2 = 1 if len(a2) > 1 else 0
-    out = ((new_s1, a1 + (a2[0],)), (new_s2, a2[1:])) + fact[2:]
-    return _like(as_str, out)
+    return ((new_s1, a1 + (a2[0],)), (new_s2, a2[1:])) + fact[2:]
 
 
 def f_bar1_fact(fact):
     """Odd lowering operator: pushes a letter from factor one into factor two.
 
-    >>> f_bar1_fact("(+2012)()()")
+    >>> fmt, parse = typeb.fmt_factorization, typeb.parse_factorization
+    >>> fmt(f_bar1_fact(parse("(+2012)()()")))
     '(+201)(-2)()'
-    >>> f_bar1_fact("(+0)(-1)(+21)") is None
+    >>> f_bar1_fact(parse("(+0)(-1)(+21)")) is None
     True
     """
-    fact, as_str = _coerce(fact)
+    fact = typeb.check_factorization(fact)
     if len(fact) < 2:
         return None
     (s1, a1), (s2, a2) = fact[0], fact[1]
@@ -76,23 +66,21 @@ def f_bar1_fact(fact):
         if not tb.is_unimodal(new_a2):
             return None
         # |a1| >= 2, else new_a2 would be the whole non-unimodal concat
-        out = ((s1, a1[:-1]), (s2, new_a2)) + fact[2:]
-        return _like(as_str, out)
+        return ((s1, a1[:-1]), (s2, new_a2)) + fact[2:]
     if not a1 or (a2 and s2 < 0):
         return None
     if len(a1) > 1:
         new_s1, new_s2 = s1, -1
     else:
         new_s1, new_s2 = 0, s1
-    out = ((new_s1, a1[:-1]), (new_s2, (a1[-1],) + a2)) + fact[2:]
-    return _like(as_str, out)
+    return ((new_s1, a1[:-1]), (new_s2, (a1[-1],) + a2)) + fact[2:]
 
 
 # ---------------------------------------------------------------------------
 # transport through the primed insertion
 
 def _transport(fact, op):
-    fact, as_str = _coerce(fact)
+    fact = typeb.check_factorization(fact)
     p, t = kw.pkr(fact)
     t2 = op(t)
     if t2 is None:
@@ -101,13 +89,14 @@ def _transport(fact, op):
         # the tableau operator left the entries-<=-m family (only the
         # odd pair at m = 1 can do this); the factor operator is undefined
         return None
-    return _like(as_str, kw.pkr_inverse(p, t2, m=len(fact)))
+    return kw.pkr_inverse(p, t2, m=len(fact))
 
 
 def e_fact(fact, i):
     """Raising operator of color i (an int, or "b1" for the odd one).
 
-    >>> e_fact("(+02)(+12)()", 1)
+    >>> fmt, parse = typeb.fmt_factorization, typeb.parse_factorization
+    >>> fmt(e_fact(parse("(+02)(+12)()"), 1))
     '(+012)(+1)()'
     """
     if i == "b1":
@@ -118,7 +107,8 @@ def e_fact(fact, i):
 def f_fact(fact, i):
     """Lowering operator of color i (an int, or "b1" for the odd one).
 
-    >>> f_fact("(+012)(+1)()", 2)
+    >>> fmt, parse = typeb.fmt_factorization, typeb.parse_factorization
+    >>> fmt(f_fact(parse("(+012)(+1)()"), 2))
     '(+012)()(+1)'
     """
     if i == "b1":

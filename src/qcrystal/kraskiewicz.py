@@ -16,24 +16,23 @@ Reverse insertion reconstructs each bump chain by splitting a row into
 its decreasing and increasing parts in every possible position and
 forward-checking the local inverses; every extracted word is finally
 re-inserted and compared.
+
+Words are int tuples and factorizations tuples of (sign, letters); their
+text forms are parsed and printed only by ``typeb``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional, Union
+from typing import Optional, Sequence
 
 from qcrystal import tableaux as tb
 from qcrystal import typeb
-from qcrystal.tableaux import Rows
+from qcrystal.tableaux import NotInImage, Rows
 
 
 class InsertionError(ValueError):
     """The bump chain died; the input word was not reduced."""
-
-
-class NotInImage(ValueError):
-    """The tableau pair is not produced by the insertion."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +146,15 @@ def kr_insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
     return out, (r + 1, c + 1)
 
 
-def kr(w: Union[str, tuple]) -> tuple[Rows, Rows]:
+def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
     """Insertion and recording tableaux of a reduced word.
 
-    >>> p, q = kr("0")
+    >>> p, q = kr((0,))
     >>> p, q
     (((0,),), ((1,),))
     """
-    word = typeb.parse_word(w)
     if not typeb.is_reduced(word):
-        raise ValueError(f"word {w!r} is not reduced")
+        raise ValueError(f"word {tuple(word)} is not reduced")
     p: Rows = ()
     q_work: list[list[int]] = []
     for step, a in enumerate(word, start=1):
@@ -174,14 +172,6 @@ def kr(w: Union[str, tuple]) -> tuple[Rows, Rows]:
 # ---------------------------------------------------------------------------
 # reverse insertion
 
-def _strictly_dec(w) -> bool:
-    return all(a > b for a, b in zip(w, w[1:]))
-
-
-def _strictly_inc(w) -> bool:
-    return all(a < b for a, b in zip(w, w[1:]))
-
-
 def _row_candidates(row: tuple[int, ...], out: int):
     """Possible (previous row, inserted letter) pairs for one reverse step."""
     cands = set()
@@ -189,7 +179,8 @@ def _row_candidates(row: tuple[int, ...], out: int):
         cands.add((row, 0))
     for k in range(1, len(row) + 1):
         dstar, istar = row[:k], row[k:]
-        if not (_strictly_dec(dstar) and _strictly_inc(istar)):
+        if not (tb.strictly_increasing(dstar[::-1])
+                and tb.strictly_increasing(istar)):
             continue
         dphase = []
         bigger = [x for x in dstar if x > out]
@@ -326,10 +317,7 @@ def vee_bottom(q: Rows, i: int, j: int) -> Optional[int]:
 def pkr(fact) -> tuple[Rows, Rows]:
     """Insert a factorization; records factor numbers, primed on the
     vertical arm of each factor's vee and signed at the corner."""
-    if isinstance(fact, str):
-        fact = typeb.parse_factorization(fact)
-    else:
-        fact = typeb.check_factorization(fact)
+    fact = typeb.check_factorization(fact)
     word = typeb.fact_word(fact)
     if not typeb.is_reduced(word):
         raise ValueError("factor concatenation is not a reduced word")

@@ -19,14 +19,10 @@ word is re-inserted and compared, so off-image pairs always raise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import Sequence
 
 from qcrystal import tableaux as tb
-from qcrystal import words
-from qcrystal.tableaux import Rows
-
-
-class NotInImage(ValueError):
-    """The (insertion, recording) pair is not produced by any word."""
+from qcrystal.tableaux import NotInImage, Rows
 
 
 def q_canon(shape) -> Rows:
@@ -114,12 +110,13 @@ def hm_insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
     return out, (r + 1, c + 1)
 
 
-def hm(w) -> tuple[Rows, Rows]:
+def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
     """Insert a word; returns the (insertion, recording) tableau pair."""
-    letters = words.letters_of(w)
+    if any(a < 1 for a in word):
+        raise ValueError(f"word {tuple(word)} has a letter below 1")
     p: Rows = ()
     q_work: list[list[int]] = []
-    for step, a in enumerate(letters, start=1):
+    for step, a in enumerate(word, start=1):
         p, (r, c) = _insert(p, a)
         if r == len(q_work):
             q_work.append([])
@@ -217,8 +214,3 @@ def hm_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     if hm(word) != (p, q):
         raise NotInImage("reverse bumping does not reproduce the pair")
     return word
-
-
-def psi_lambda(t: Rows, q: Rows) -> tuple[int, ...]:
-    """Word determined by an insertion tableau and a fixed recording one."""
-    return hm_inverse(t, q)

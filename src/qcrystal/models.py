@@ -26,7 +26,7 @@ def model_words(n: int) -> CrystalModel:
         weight=lambda w: words.weight(w, n),
         e_bar=words.e_bar1 if n >= 2 else None,
         f_bar=words.f_bar1 if n >= 2 else None,
-        fmt=str,
+        fmt=typeb.fmt_word,
         name=f"words{n}",
     )
 

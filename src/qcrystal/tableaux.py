@@ -90,16 +90,16 @@ def get(rows: Rows, r: int, c: int):
     return None
 
 
-def set_cell(rows: list[list[int]], r: int, c: int, v: int) -> None:
-    rows[r][c - r] = v
-
-
 def freeze(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(tuple(r) for r in rows)
 
 
+class NotInImage(ValueError):
+    """The tableau pair is not produced by the insertion (hm, kr or pkr)."""
+
+
 # ---------------------------------------------------------------------------
-# text / JSON forms
+# text forms
 
 PRIME_CHARS = ("'", "′")
 
@@ -142,14 +142,6 @@ def parse_plain(text: str) -> Rows:
     )
 
 
-def to_json_obj(rows: Rows, primed: bool) -> dict:
-    render = letter_str if primed else str
-    return {
-        "shape": list(shape_of(rows)),
-        "rows": [[render(v) for v in row] for row in rows],
-    }
-
-
 # ---------------------------------------------------------------------------
 # hook and unimodal words
 
@@ -170,14 +162,14 @@ def hook_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return w[:k], w[k:]
 
 
-def _strictly_increasing(w: Sequence[int]) -> bool:
+def strictly_increasing(w: Sequence[int]) -> bool:
     return all(a < b for a, b in zip(w, w[1:]))
 
 
 def is_hook(w: Sequence[int]) -> bool:
     """Weakly decreasing then strictly increasing; empty words rejected."""
     dec, inc = hook_split(w)
-    return _strictly_increasing(inc)
+    return strictly_increasing(inc)
 
 
 def unimodal_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -207,7 +199,7 @@ def is_unimodal(w: Sequence[int]) -> bool:
     # the junction must rise strictly: dec owns the unique minimum
     if inc and inc[0] <= dec[-1]:
         return False
-    return _strictly_increasing(inc)
+    return strictly_increasing(inc)
 
 
 def longest_hook_subword_len(w: Sequence[int]) -> int:
@@ -333,23 +325,6 @@ def validate_ssdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
                 f"{r + 2},{r + 1}"
             )
     return None
-
-
-def validate(rows: Rows, family: str, n: Optional[int] = None) -> Optional[str]:
-    """Dispatching validator; family in {pt, spt, st, ssdt, sdt}."""
-    if family == "pt":
-        return validate_pt(rows, n)
-    if family == "spt":
-        return validate_pt(rows, n, diagonal_unprimed=False)
-    if family == "st":
-        return validate_st(rows)
-    if family == "ssdt":
-        return validate_ssdt(rows, n)
-    if family == "sdt":
-        from qcrystal import kraskiewicz
-
-        return kraskiewicz.validate_sdt(rows, n)
-    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------

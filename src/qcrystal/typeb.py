@@ -4,8 +4,9 @@ A signed permutation of rank n is stored as the tuple
 (w(1), ..., w(n)) of signed images; the group is generated by s_0
 (negate the first value) and s_1..s_{n-1} (adjacent swaps), acting on
 positions, i.e. by right multiplication.  Words over the alphabet
-0..n-1 are written as digit strings in text ("012013"), which caps the
-alphabet at letters 0..9 exactly like the crystal word format.
+0..n-1 are int tuples; ``parse_word``/``fmt_word`` are the one digit
+text codec ("012013"), shared with crystal words, so text caps the
+alphabet at letters 0..9.
 
 A signed unimodal factorization splits a reduced word into m possibly
 empty unimodal blocks and decorates every nonempty block with a sign:
@@ -15,10 +16,9 @@ empty unimodal blocks and decorates every nonempty block with a sign:
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 Perm = tuple[int, ...]
-WordLike = Union[str, Sequence[int]]
 Factor = tuple[int, tuple[int, ...]]  # (sign in {+1,-1,0}, letters)
 Factorization = tuple[Factor, ...]
 
@@ -28,10 +28,9 @@ from qcrystal.tableaux import is_unimodal
 # ---------------------------------------------------------------------------
 # words and permutations
 
-def parse_word(w: WordLike) -> tuple[int, ...]:
-    if isinstance(w, str):
-        return tuple(int(ch) for ch in w)
-    return tuple(w)
+def parse_word(text: str) -> tuple[int, ...]:
+    """Parse digit text "0121" into the letters (0, 1, 2, 1)."""
+    return tuple(int(ch) for ch in text)
 
 
 def fmt_word(word: Sequence[int]) -> str:
@@ -72,13 +71,12 @@ def apply_gen(perm: Perm, i: int) -> Perm:
     return tuple(out)
 
 
-def apply_word(w: WordLike, n: Optional[int] = None) -> Perm:
+def apply_word(word: Sequence[int], n: Optional[int] = None) -> Perm:
     """Fold the word left to right starting from the identity.
 
-    >>> apply_word("012013")
+    >>> apply_word((0, 1, 2, 0, 1, 3))
     (3, -2, 4, -1)
     """
-    word = parse_word(w)
     if n is None:
         n = max(word, default=0) + 1
     perm = identity(n)
@@ -97,8 +95,7 @@ def length(perm: Perm) -> int:
     return inv + neg
 
 
-def is_reduced(w: WordLike, n: Optional[int] = None) -> bool:
-    word = parse_word(w)
+def is_reduced(word: Sequence[int], n: Optional[int] = None) -> bool:
     return len(word) == length(apply_word(word, n))
 
 

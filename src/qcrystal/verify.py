@@ -33,9 +33,7 @@ def _merge(suite: str, reports) -> dict:
 
 
 def _all_words(n: int, length: int):
-    alphabet = "123456789"[:n]
-    for tup in itertools.product(alphabet, repeat=length):
-        yield "".join(tup)
+    return itertools.product(range(1, n + 1), repeat=length)
 
 
 def _components(model, vertices):
@@ -109,13 +107,14 @@ def check_hm_roundtrip(n: int, max_len: int) -> dict:
                 if tb.pt_weight(p, n) != words.weight(w, n):
                     raise ValueError("weight not preserved")
                 back = mixed.hm_inverse(p, q)
-                if mixed.hm(back) != (p, q) or back != words.letters_of(w):
+                if mixed.hm(back) != (p, q) or back != w:
                     raise ValueError(f"round trip gave {back}")
                 if (p, q) in seen:
                     raise ValueError("not injective")
                 seen.add((p, q))
             except ValueError as exc:
-                failures.append({"check": "hm", "word": w, "detail": str(exc)})
+                failures.append({"check": "hm", "word": typeb.fmt_word(w),
+                                 "detail": str(exc)})
     return _report("hm-roundtrip", checked, failures)
 
 

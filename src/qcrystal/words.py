@@ -6,40 +6,28 @@ one).  The even operators below use the standard bracketing shortcut;
 the odd operators use the leftmost-letter rule.  The tensor-product
 definition itself lives in the test suite as an independent oracle.
 
-Words may be given as strings of digits ("321121") or as sequences of
-ints; operators return the same form they were given.
+A word is a tuple of int letters; operators answer with a tuple.  The
+digit text of a word ("321121") is parsed and printed only by
+``typeb.parse_word``/``fmt_word``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-Word = Union[str, Sequence[int]]
-
-
-def letters_of(w: Word) -> tuple[int, ...]:
-    """Coerce a word to a tuple of int letters."""
-    if isinstance(w, str):
-        return tuple(int(c) for c in w)
-    return tuple(w)
+Word = tuple[int, ...]
 
 
-def _like(letters: Sequence[int], template: Word) -> Word:
-    if isinstance(template, str):
-        return "".join(str(a) for a in letters)
-    return tuple(letters)
+def weight(w: Sequence[int], n: int) -> tuple[int, ...]:
+    """Multiplicity of each letter 1..n; ValueError outside 1..n.
 
-
-def weight(w: Word, n: int) -> tuple[int, ...]:
-    """Multiplicity of each letter 1..n.
-
-    >>> weight("1213", 3)
+    >>> weight((1, 2, 1, 3), 3)
     (2, 1, 1)
-    >>> weight("", 4)
+    >>> weight((), 4)
     (0, 0, 0, 0)
     """
     wt = [0] * n
-    for a in letters_of(w):
+    for a in w:
         if not 1 <= a <= n:
             raise ValueError(f"letter {a} outside alphabet 1..{n}")
         wt[a - 1] += 1
@@ -68,79 +56,78 @@ def unbracketed(i: int, letters: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def e_even(i: int, w: Word) -> Optional[Word]:
     """Raising operator for color i: leftmost unbracketed i+1 becomes i."""
-    letters = list(letters_of(w))
+    letters = list(w)
     openers, _ = unbracketed(i, letters)
     if not openers:
         return None
     letters[openers[0]] = i
-    return _like(letters, w)
+    return tuple(letters)
 
 
 def f_even(i: int, w: Word) -> Optional[Word]:
     """Lowering operator for color i: rightmost unbracketed i becomes i+1.
 
-    >>> f_even(1, "1")
-    '2'
-    >>> f_even(1, "21") is None
+    >>> f_even(1, (1,))
+    (2,)
+    >>> f_even(1, (2, 1)) is None
     True
     """
-    letters = list(letters_of(w))
+    letters = list(w)
     _, closers = unbracketed(i, letters)
     if not closers:
         return None
     letters[closers[-1]] = i + 1
-    return _like(letters, w)
+    return tuple(letters)
 
 
 def e_bar1(w: Word) -> Optional[Word]:
     """Odd raising operator: leftmost 2 becomes 1, unless a 1 precedes it.
 
-    >>> e_bar1("321121")
-    '311121'
+    >>> e_bar1((3, 2, 1, 1, 2, 1))
+    (3, 1, 1, 1, 2, 1)
     """
-    letters = list(letters_of(w))
+    letters = list(w)
     for p, a in enumerate(letters):
         if a == 1:
             return None
         if a == 2:
             letters[p] = 1
-            return _like(letters, w)
+            return tuple(letters)
     return None
 
 
 def f_bar1(w: Word) -> Optional[Word]:
     """Odd lowering operator: leftmost 1 becomes 2, unless a 2 precedes it.
 
-    >>> f_bar1("1")
-    '2'
-    >>> f_bar1("21") is None
+    >>> f_bar1((1,))
+    (2,)
+    >>> f_bar1((2, 1)) is None
     True
     """
-    letters = list(letters_of(w))
+    letters = list(w)
     for p, a in enumerate(letters):
         if a == 2:
             return None
         if a == 1:
             letters[p] = 2
-            return _like(letters, w)
+            return tuple(letters)
     return None
 
 
-def is_yamanouchi(w: Word, n: Optional[int] = None) -> bool:
+def is_yamanouchi(w: Sequence[int], n: Optional[int] = None) -> bool:
     """True iff every suffix of w has weakly decreasing weight.
 
     Equivalent to w being annihilated by every even raising operator.
 
-    >>> is_yamanouchi("321121")
+    >>> is_yamanouchi((3, 2, 1, 1, 2, 1))
     True
-    >>> is_yamanouchi("12")
+    >>> is_yamanouchi((1, 2))
     False
     """
-    letters = letters_of(w)
     if n is None:
-        n = max(letters, default=1)
+        n = max(w, default=1)
     counts = [0] * (n + 1)
-    for a in reversed(letters):
+    for a in reversed(w):
         counts[a] += 1
         if a > 1 and counts[a] > counts[a - 1]:
             return False

@@ -35,7 +35,8 @@ def _clean(report):
 
 
 def test_criterion_01_golden_mixed_insertion():
-    (p, q), dt = _best_of(5, lambda: mixed.hm("333323212"))
+    word = typeb.parse_word("333323212")
+    (p, q), dt = _best_of(5, lambda: mixed.hm(word))
     assert tb.fmt_primed(p) == "1 2' 2 3' 3 / 2 3' 3 / 3"
     assert tb.fmt_plain(q) == "1 2 3 4 6 / 5 7 9 / 8"
     assert dt < 1e-3, f"{dt * 1e3:.2f} ms"
@@ -43,8 +44,11 @@ def test_criterion_01_golden_mixed_insertion():
 
 
 def test_criterion_02_golden_reduced_word_insertions():
+    word = typeb.parse_word("012013")
+    fact = typeb.parse_factorization("(+01)(-2013)")
+
     def both():
-        return kw.kr("012013"), kw.pkr("(+01)(-2013)")
+        return kw.kr(word), kw.pkr(fact)
 
     ((p, q), (pp, t)), dt = _best_of(5, both)
     assert tb.fmt_plain(p) == "2 0 1 3 / 0 1"
@@ -135,7 +139,7 @@ def test_criterion_10_vee_lemma():
     t0 = time.perf_counter()
     checked = _clean(verify.check_vee(3, 6))
     dt = time.perf_counter() - t0
-    q = kw.kr("012013")[1]
+    q = kw.kr(typeb.parse_word("012013"))[1]
     assert kw.vee_bottom(q, 3, 6) == 2
     print(f"criterion 10 PASS: vee lemma on {checked} subwords, "
           f"golden bottom 2 ({dt:.1f} s)")

@@ -1,0 +1,50 @@
+"""The traced benchmark reaches into qcrystal by name.
+
+``perfbench/spans.py`` wraps the functions it lists in ``LAYERS`` and
+``perfbench/child.py`` calls tableau functions named in ``FAMILIES``.
+Both are loaded read-only here so that a rename or deletion in
+``src/qcrystal`` fails a test instead of breaking the benchmark.
+"""
+
+import dataclasses
+import importlib.util
+import pathlib
+
+import pytest
+
+from qcrystal import engine, models
+from qcrystal import tableaux as tb
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+child = _load("child")
+
+
+@pytest.mark.parametrize("name", [n for n in spans.NAMES
+                                  if not n.startswith("models.")])
+def test_layer_function_resolves(name):
+    mod, fn = name.split(".")
+    assert callable(getattr(importlib.import_module(f"qcrystal.{mod}"), fn))
+
+
+def test_model_builders_and_ops_resolve():
+    fields = {f.name for f in dataclasses.fields(engine.CrystalModel)}
+    assert set(spans.MODEL_OPS) <= fields
+    for builder in spans.MODEL_BUILDERS:
+        assert callable(getattr(models, builder))
+
+
+def test_family_functions_resolve():
+    for enum, fmt, _, _ in child.FAMILIES.values():
+        assert callable(getattr(tb, enum))
+        assert callable(getattr(tb, fmt))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,3 +177,49 @@ def test_bad_shape(capsys):
         cli.main(["enumerate", "--what", "pt", "--n", "3", "--shape", "1,3"])
     assert exc.value.code == 2
     assert "strict" in capsys.readouterr().err
+
+
+def test_bad_shape_trailing_comma(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["graph", "--model", "pt", "--n", "3", "--shape", "3,1,"])
+    assert exc.value.code == 2
+    assert "--shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--model", "pt", "--n", "2", "--shape", "1",
+     "--seed", "1 1 / 9"],
+    ["graph", "--model", "pt", "--n", "3", "--shape", "2,1",
+     "--seed", "1 1 1"],
+    ["graph", "--model", "spt", "--m", "2", "--shape", "2,1",
+     "--seed", "1 3 / 2"],
+    ["graph", "--model", "words", "--n", "2", "--seed", "5"],
+    ["graph", "--model", "fact", "--perm", "3,2,-1", "--m", "3",
+     "--seed", "(+0)()()"],
+    ["graph", "--model", "ssdt", "--n", "3", "--shape", "2,1",
+     "--seed", "1 2 / 3"],
+    ["insert", "--algo", "hm", "0"],
+    ["verify", "--suite", "all", "--n", "0"],
+    ["verify", "--suite", "all", "--max-size", "-1"],
+], ids=["pt-range", "pt-shape", "spt-range", "words-letter",
+        "fact-perm", "ssdt-invalid", "hm-zero", "verify-n0",
+        "verify-size-neg"])
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--model", "words", "--n", "10", "--seed", "1"],
+    ["verify", "--suite", "axioms", "--n", "10", "--max-size", "1"],
+])
+def test_words_above_nine_rejected_quickly(capsys, argv):
+    # letter 10 has no digit text, so the run stops at the first vertex
+    # that would need it instead of growing toward the vertex cap
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "0..9" in err

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from qcrystal import engine, words
+from qcrystal.typeb import fmt_word
+from qcrystal.typeb import parse_word as W
 
 
 def words_model(n):
@@ -13,24 +15,22 @@ def words_model(n):
         weight=lambda w: words.weight(w, n),
         e_bar=words.e_bar1,
         f_bar=words.f_bar1,
+        fmt=fmt_word,
         name="words",
     )
 
 
 def all_words(n, m):
-    return (
-        "".join(map(str, w))
-        for w in itertools.product(range(1, n + 1), repeat=m)
-    )
+    return itertools.product(range(1, n + 1), repeat=m)
 
 
 def test_eps_phi_frozen():
     model = words_model(2)
-    assert engine.eps(model, 1, "12") == 1
-    assert engine.phi(model, 1, "12") == 1
-    assert engine.pairing(model, 1, "12") == 0
-    assert engine.eps(model, 1, "21") == 0
-    assert engine.phi(model, 1, "1") == 1
+    assert engine.eps(model, 1, W("12")) == 1
+    assert engine.phi(model, 1, W("12")) == 1
+    assert engine.pairing(model, 1, W("12")) == 0
+    assert engine.eps(model, 1, W("21")) == 0
+    assert engine.phi(model, 1, W("1")) == 1
 
 
 def test_string_identity_everywhere():
@@ -53,10 +53,10 @@ def test_weyl_words():
 def test_weyl_s():
     model = words_model(3)
     # zero pairing acts as the identity
-    assert engine.weyl_s(model, 2, "1") == "1"
+    assert engine.weyl_s(model, 2, W("1")) == W("1")
     # S_1 on "1": pairing 1, one lowering step
-    assert engine.weyl_s(model, 1, "1") == "2"
-    assert engine.weyl_s(model, 1, "2") == "1"
+    assert engine.weyl_s(model, 1, W("1")) == W("2")
+    assert engine.weyl_s(model, 1, W("2")) == W("1")
 
 
 def test_weyl_s_involution():
@@ -75,9 +75,9 @@ def test_weyl_w0_involution():
 
 def test_odd_e_bar_conjugated():
     model = words_model(3)
-    assert engine.odd_e_bar(model, 2, "32") == "22"
-    assert engine.odd_e_bar(model, 1, "21") == "11"
-    assert engine.odd_f_bar(model, 1, "11") == "21"
+    assert engine.odd_e_bar(model, 2, W("32")) == W("22")
+    assert engine.odd_e_bar(model, 1, W("21")) == W("11")
+    assert engine.odd_f_bar(model, 1, W("11")) == W("21")
 
 
 def test_odd_bars_mutually_inverse():
@@ -107,7 +107,7 @@ def test_odd_bar_weight_shift():
 
 def test_component_two_letters():
     model = words_model(2)
-    g = engine.component(model, "1")
+    g = engine.component(model, W("1"))
     assert [model.fmt(b) for b in g.vertices] == ["1", "2"]
     assert g.f_edges == {(1, 0): 1, ("b1", 0): 1}
     assert g.e_edges == {(1, 1): 0, ("b1", 1): 0}
@@ -115,10 +115,10 @@ def test_component_two_letters():
 
 def test_component_b22():
     model = words_model(2)
-    g = engine.component(model, "11")
+    g = engine.component(model, W("11"))
     assert sorted(model.fmt(b) for b in g.vertices) == ["11", "12", "21", "22"]
-    assert engine.find_highest(g) == "11"
-    assert engine.find_lowest(g) == "22"
+    assert engine.find_highest(g) == W("11")
+    assert engine.find_lowest(g) == W("22")
     report = engine.check_q_axioms(g)
     assert report["failures"] == []
     assert report["checked"] == 4
@@ -126,15 +126,15 @@ def test_component_b22():
 
 def test_is_q_highest():
     model = words_model(3)
-    assert engine.is_q_highest(model, "111")
+    assert engine.is_q_highest(model, W("111"))
     # "211" is gl-highest yet e_bar1 still raises it to "111"
-    assert words.is_yamanouchi("211")
-    assert not engine.is_q_highest(model, "211")
-    assert engine.is_q_highest(model, "121")
-    assert not engine.is_q_highest(model, "112")
+    assert words.is_yamanouchi(W("211"))
+    assert not engine.is_q_highest(model, W("211"))
+    assert engine.is_q_highest(model, W("121"))
+    assert not engine.is_q_highest(model, W("112"))
     # exactly two components in B_3^3, so exactly two highest words
     highs = [w for w in all_words(3, 3) if engine.is_q_highest(model, w)]
-    assert highs == ["111", "121"]
+    assert highs == [W("111"), W("121")]
 
 
 def test_axioms_all_components_b33():
@@ -151,7 +151,7 @@ def test_axioms_all_components_b33():
 
 def test_tampered_graph_is_detected():
     model = words_model(2)
-    g = engine.component(model, "11")
+    g = engine.component(model, W("11"))
     # retarget one e-arrow; the independent f/e dicts must disagree now
     (key, old), = [((c, u), v) for (c, u), v in g.e_edges.items() if c == 1][:1]
     g.e_edges[key] = (old + 1) % len(g)
@@ -170,7 +170,7 @@ def test_broken_weight_model_fails_axioms():
         f_bar=base.f_bar,
         name="broken",
     )
-    g = engine.component(broken, "11")
+    g = engine.component(broken, W("11"))
     report = engine.check_q_axioms(g)
     conditions = {f["condition"] for f in report["failures"]}
     assert conditions & {"gl1", "gl2", "gl3", "q3"}
@@ -179,7 +179,7 @@ def test_broken_weight_model_fails_axioms():
 def test_cap_exceeded():
     model = words_model(2)
     with pytest.raises(engine.CapExceeded) as exc:
-        engine.component(model, "11", cap=3)
+        engine.component(model, W("11"), cap=3)
     assert exc.value.cap == 3
 
 
@@ -187,14 +187,14 @@ def test_cap_from_env(monkeypatch):
     monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", "3")
     model = words_model(2)
     with pytest.raises(engine.CapExceeded):
-        engine.component(model, "11")
+        engine.component(model, W("11"))
 
 
 def test_to_dot():
     model = words_model(2)
-    g = engine.component(model, "1")
+    g = engine.component(model, W("1"))
     dot = engine.to_dot(g)
-    assert dot == engine.to_dot(engine.component(model, "2"))
+    assert dot == engine.to_dot(engine.component(model, W("2")))
     assert 'digraph words {' in dot
     assert '"1" -> "2" [label="1"];' in dot
     assert '"1" -> "2" [label="b1"];' in dot
@@ -203,7 +203,7 @@ def test_to_dot():
 
 def test_to_json():
     model = words_model(2)
-    g = engine.component(model, "1")
+    g = engine.component(model, W("1"))
     obj = engine.to_json(g)
     assert obj["vertices"] == ["1", "2"]
     assert {"src": "1", "color": 1, "dst": "2"} in obj["edges"]

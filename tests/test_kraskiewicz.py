@@ -5,6 +5,8 @@ import pytest
 from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 from qcrystal import typeb
+from qcrystal.typeb import parse_factorization as F
+from qcrystal.typeb import parse_word as W
 
 
 def reduced_words(n, max_len):
@@ -17,22 +19,22 @@ def reduced_words(n, max_len):
 
 
 def test_kr_golden():
-    p, q = kw.kr("012013")
+    p, q = kw.kr(W("012013"))
     assert p == tb.parse_plain("2 0 1 3 / 0 1")
     assert q == tb.parse_plain("1 2 3 6 / 4 5")
 
 
 def test_kr_small():
-    assert kw.kr("0") == (((0,),), ((1,),))
-    assert kw.kr("") == ((), ())
+    assert kw.kr(W("0")) == (((0,),), ((1,),))
+    assert kw.kr(W("")) == ((), ())
     assert kw.kr_insert((), 2) == (((2,),), (1, 1))
 
 
 def test_kr_rejects_non_reduced():
     with pytest.raises(ValueError, match="not reduced"):
-        kw.kr("00")
+        kw.kr(W("00"))
     with pytest.raises(ValueError, match="not reduced"):
-        kw.kr("11")
+        kw.kr(W("11"))
 
 
 def test_rw_sdt():
@@ -122,24 +124,24 @@ def test_vee_lemma_small():
 
 
 def test_pkr_golden():
-    p, t = kw.pkr("(+01)(-2013)")
+    p, t = kw.pkr(F("(+01)(-2013)"))
     assert p == tb.parse_plain("2 0 1 3 / 0 1")
     assert t == tb.parse_primed("1 1 2' 2 / 2' 2")
 
 
 def test_pkr_small():
-    p, t = kw.pkr("(+0)")
+    p, t = kw.pkr(F("(+0)"))
     assert p == ((0,),)
     assert t == tb.parse_primed("1")
-    p, t = kw.pkr("()()")
+    p, t = kw.pkr(F("()()"))
     assert (p, t) == ((), ())
 
 
 def test_pkr_errors():
     with pytest.raises(ValueError):
-        kw.pkr("(+00)")  # not unimodal
+        kw.pkr(((1, (0, 0)),))  # not unimodal
     with pytest.raises(ValueError):
-        kw.pkr("(+0)(+0)")  # concatenation not reduced
+        kw.pkr(F("(+0)(+0)"))  # concatenation not reduced
 
 
 def test_pkr_inverse_golden():
@@ -149,7 +151,7 @@ def test_pkr_inverse_golden():
 
 
 def test_pkr_inverse_trailing_empty_factors():
-    p, t = kw.pkr("(+0)()")
+    p, t = kw.pkr(F("(+0)()"))
     assert kw.pkr_inverse(p, t, m=2) == typeb.parse_factorization("(+0)()")
     assert kw.pkr_inverse(p, t) == typeb.parse_factorization("(+0)")
 

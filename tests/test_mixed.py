@@ -2,32 +2,48 @@ import itertools
 
 import pytest
 
+from qcrystal import kraskiewicz as kw
 from qcrystal import mixed, words
 from qcrystal import tableaux as tb
+from qcrystal.typeb import parse_word as W
 
 
 def all_words(n, m):
-    return [
-        "".join(map(str, w))
-        for w in itertools.product(range(1, n + 1), repeat=m)
-    ]
+    return list(itertools.product(range(1, n + 1), repeat=m))
 
 
 def test_hm_golden():
-    p, q = mixed.hm("333323212")
+    p, q = mixed.hm(W("333323212"))
     assert p == tb.parse_primed("1 2' 2 3' 3 / 2 3' 3 / 3")
     assert q == tb.parse_plain("1 2 3 4 6 / 5 7 9 / 8")
 
 
 def test_hm_small():
-    assert mixed.hm("1") == (((2,),), ((1,),))
-    p, q = mixed.hm("21")
+    assert mixed.hm(W("1")) == (((2,),), ((1,),))
+    p, q = mixed.hm(W("21"))
     assert p == tb.parse_primed("1 2'")
     assert q == tb.parse_plain("1 2")
-    p, q = mixed.hm("11")
+    p, q = mixed.hm(W("11"))
     assert p == tb.parse_primed("1 1")
     assert q == tb.parse_plain("1 2")
-    assert mixed.hm("") == ((), ())
+    assert mixed.hm(W("")) == ((), ())
+
+
+def test_hm_rejects_letters_below_one():
+    with pytest.raises(ValueError, match="below 1"):
+        mixed.hm(W("0"))
+    with pytest.raises(ValueError, match="below 1"):
+        mixed.hm(W("120"))
+
+
+def test_text_is_not_a_word():
+    # digit text must go through parse_word; raw strings raise
+    with pytest.raises((TypeError, ValueError)):
+        mixed.hm("12")
+    with pytest.raises((TypeError, ValueError)):
+        kw.kr("01")
+    with pytest.raises((TypeError, ValueError)):
+        kw.pkr("(+0)")
 
 
 def test_hm_insert_public():
@@ -56,13 +72,13 @@ def test_hm_injective():
 def test_hm_roundtrip(n, m):
     for w in all_words(n, m):
         p, q = mixed.hm(w)
-        assert mixed.hm_inverse(p, q) == words.letters_of(w)
+        assert mixed.hm_inverse(p, q) == w
 
 
 def test_hm_inverse_golden():
     p = tb.parse_primed("1 2' 2 3' 3 / 2 3' 3 / 3")
     q = tb.parse_plain("1 2 3 4 6 / 5 7 9 / 8")
-    assert mixed.hm_inverse(p, q) == tuple(int(ch) for ch in "333323212")
+    assert mixed.hm_inverse(p, q) == W("333323212")
     assert mixed.hm_inverse(((2,),), ((1,),)) == (1,)
     assert mixed.hm_inverse((), ()) == ()
 
@@ -78,7 +94,7 @@ def test_hm_surjective_small():
                     w = mixed.hm_inverse(p, q)
                     assert mixed.hm(w) == (p, q)
                     covered.add(w)
-        assert covered == {words.letters_of(w) for w in all_words(n, m)}
+        assert covered == set(all_words(n, m))
 
 
 def _strict_partitions(total, biggest=None):
@@ -100,11 +116,6 @@ def test_count_identity():
         for shape in _strict_partitions(m):
             total += len(tb.enumerate_pt(n, shape)) * len(tb.enumerate_st(shape))
         assert total == n**m
-
-
-def test_psi_lambda():
-    p, q = mixed.hm("21")
-    assert mixed.psi_lambda(p, q) == (2, 1)
 
 
 def test_q_canon():

@@ -5,8 +5,10 @@ from qcrystal import tableaux as tb
 
 
 def test_model_words_component():
-    g = engine.component(models.model_words(2), "1")
-    assert sorted(g.vertices) == ["1", "2"]
+    model = models.model_words(2)
+    g = engine.component(model, typeb.parse_word("1"))
+    assert g.vertices == [(1,), (2,)]
+    assert [model.fmt(b) for b in g.vertices] == ["1", "2"]
 
 
 def test_model_pt_component_is_all_of_pt():

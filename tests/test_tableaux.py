@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qcrystal import tableaux as tb
+from qcrystal.typeb import parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,14 @@ def test_validate_ssdt_maximality():
 def test_rw_ssdt():
     assert tb.rw_ssdt(((3, 2, 2), (2,))) == (2, 2, 3, 2)
     rows = tb.parse_plain("3 2 2 1 1 / 2 1 1 / 1")
-    assert tb.rw_ssdt(rows) == tuple(int(ch) for ch in "112231121")
+    assert tb.rw_ssdt(rows) == parse_word("112231121")
 
 
 def test_rw_pt():
     rows = tb.parse_primed("1 2' 2 / 3")
     assert tb.rw_pt(rows) == (2, 3, 1, 2)
     golden = tb.parse_primed("1 2' 2 3' 3 / 2 3' 3 / 3")
-    assert tb.rw_pt(golden) == tuple(int(ch) for ch in "332323123")
+    assert tb.rw_pt(golden) == parse_word("332323123")
 
 
 def test_rw_pt_cells_provenance():
@@ -338,11 +339,3 @@ def test_enumerate_empty_shape():
     assert tb.enumerate_st(()) == [()]
     assert tb.enumerate_pt(3, ()) == [()]
     assert tb.enumerate_ssdt(3, ()) == [()]
-
-
-def test_json_obj():
-    rows = tb.parse_primed("1 2' / 2")
-    assert tb.to_json_obj(rows, primed=True) == {
-        "shape": [2, 1],
-        "rows": [["1", "2'"], ["2"]],
-    }

@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from qcrystal import typeb
+from qcrystal.typeb import parse_word as W
 
 
 def test_apply_word_example():
-    assert typeb.apply_word("012013", 4) == (3, -2, 4, -1)
-    assert typeb.apply_word("012013") == (3, -2, 4, -1)
-    assert typeb.apply_word("", 3) == (1, 2, 3)
+    assert typeb.apply_word(W("012013"), 4) == (3, -2, 4, -1)
+    assert typeb.apply_word(W("012013")) == (3, -2, 4, -1)
+    assert typeb.apply_word(W(""), 3) == (1, 2, 3)
 
 
 def test_apply_gen():
@@ -57,11 +58,11 @@ def _factorial(n):
 
 
 def test_is_reduced():
-    assert typeb.is_reduced("012013")
-    assert not typeb.is_reduced("00")
-    assert typeb.is_reduced("")
-    assert not typeb.is_reduced("11")
-    assert typeb.is_reduced("0121")
+    assert typeb.is_reduced(W("012013"))
+    assert not typeb.is_reduced(W("00"))
+    assert typeb.is_reduced(W(""))
+    assert not typeb.is_reduced(W("11"))
+    assert typeb.is_reduced(W("0121"))
 
 
 def test_enumerate_reduced_example():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qcrystal import words
+from qcrystal.typeb import parse_word as W
 
 from tensor_oracle import e_bar_tensor, e_tensor, f_bar_tensor, f_tensor
 
@@ -12,35 +13,36 @@ def all_words(n, m):
 
 
 def test_weight_counts_letters():
-    assert words.weight("1213", 3) == (2, 1, 1)
-    assert words.weight("", 4) == (0, 0, 0, 0)
-    assert words.weight("333323212", 3) == (1, 3, 5)
+    assert words.weight(W("1213"), 3) == (2, 1, 1)
+    assert words.weight(W(""), 4) == (0, 0, 0, 0)
+    assert words.weight(W("333323212"), 3) == (1, 3, 5)
 
 
 def test_weight_rejects_out_of_range():
     with pytest.raises(ValueError):
-        words.weight("14", 3)
+        words.weight(W("14"), 3)
 
 
 def test_even_operators_small_cases():
-    assert words.f_even(1, "1") == "2"
-    assert words.f_even(1, "21") is None
-    assert words.e_even(1, "2") == "1"
-    assert words.e_even(1, "12") == "11"
-    assert words.f_even(1, "211") == "212"
+    assert words.f_even(1, W("1")) == W("2")
+    assert words.f_even(1, W("21")) is None
+    assert words.e_even(1, W("2")) == W("1")
+    assert words.e_even(1, W("12")) == W("11")
+    assert words.f_even(1, W("211")) == W("212")
 
 
 def test_odd_operators_small_cases():
-    assert words.e_bar1("321121") == "311121"
-    assert words.f_bar1("1") == "2"
-    assert words.f_bar1("21") is None
-    assert words.e_bar1("11") is None
-    assert words.e_bar1("3") is None
-
+    assert words.e_bar1(W("321121")) == W("311121")
+    assert words.f_bar1(W("1")) == W("2")
+    assert words.f_bar1(W("21")) is None
+    assert words.e_bar1(W("11")) is None
+    assert words.e_bar1(W("3")) is None
 
 def test_tuple_in_tuple_out():
     assert words.f_even(1, (2, 1, 1)) == (2, 1, 2)
     assert words.e_bar1((3, 2)) == (3, 1)
+    # letter 10 stays one letter (its digit text would read as 1, 0)
+    assert words.f_even(9, (9,)) == (10,)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 4), (3, 3), (3, 5)])
@@ -83,9 +85,9 @@ def test_bracketing_matches_literal_pair_removal():
 
 
 def test_yamanouchi_examples():
-    assert words.is_yamanouchi("321121")
-    assert words.is_yamanouchi("")
-    assert not words.is_yamanouchi("12")
+    assert words.is_yamanouchi(W("321121"))
+    assert words.is_yamanouchi(W(""))
+    assert not words.is_yamanouchi(W("12"))
 
 
 def test_yamanouchi_iff_killed_by_every_e_even():
