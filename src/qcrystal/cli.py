@@ -39,6 +39,13 @@ def _require(args, names):
             raise ValueError(f"--{name} is required here")
 
 
+def _at_least_one(args, names) -> None:
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_insert(args) -> int:
     if args.algo == "hm":
         p, q = mixed.hm(typeb.parse_word(args.input))
@@ -113,6 +120,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _at_least_one(args, ["n", "m"])
     if args.what == "reduced":
         _require(args, ["perm"])
         items = [typeb.fmt_word(w)
@@ -136,8 +144,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1 or args.max_size < 1:
-        raise ValueError("--n and --max-size must be at least 1")
+    _at_least_one(args, ["n", "max-size", "m"])
     perm = typeb.parse_perm(args.perm) if args.perm else None
     if args.corrupt and args.suite != "axioms":
         raise ValueError("--corrupt only applies to --suite axioms")

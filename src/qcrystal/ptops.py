@@ -5,14 +5,17 @@ lowering operator follows the ribbon procedure: locate the bold letter
 through the reading word, then either trade a prime with the entry to
 the east or walk the maximal south/west ribbon of letters i+1 and
 reshape its head; a primed bold letter is handled on the conjugated
-tableau.  The even raising operator, and any operator for an arbitrary
-recording tableau, are transported through mixed insertion.  Signed
-variants strip the diagonal primes, act, and restore them.
+tableau.  The even raising operator undoes that rule around the leftmost
+unbracketed i+1, and the bracketing decides between locally ambiguous
+preimages.  ``transport_op`` conjugates a word operator through mixed
+insertion for an arbitrary recording tableau; it is the oracle the
+explicit rules are checked against.  Signed variants strip the diagonal
+primes, act, and restore them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from qcrystal import mixed, words
 from qcrystal import tableaux as tb
@@ -66,7 +69,34 @@ def f_bar1_pt(t: Rows) -> Optional[Rows]:
 
 
 # ---------------------------------------------------------------------------
-# even lowering operator: the ribbon rule
+# even operators: the ribbon rule and its inverse
+
+def _cells(t: Rows) -> dict[tuple[int, int], int]:
+    return {(r, r + j): v for r, row in enumerate(t) for j, v in enumerate(row)}
+
+
+def _rows(t: Rows, cells: dict[tuple[int, int], int]) -> Rows:
+    return tuple(
+        tuple(cells[(r, r + j)] for j in range(len(row)))
+        for r, row in enumerate(t)
+    )
+
+
+def _ribbon_head(cells: dict[tuple[int, int], int], x: tuple[int, int],
+                 i: int) -> tuple[int, int]:
+    """End of the maximal south/west ribbon of letters i+1 starting at x."""
+    ribbon = (tb.code(i + 1, True), tb.code(i + 1, False))
+    cur = x
+    while True:
+        r, c = cur
+        south = (r + 1, c) if cells.get((r + 1, c)) in ribbon else None
+        west = (r, c - 1) if cells.get((r, c - 1)) in ribbon else None
+        assert south is None or west is None, "ribbon forks"
+        nxt = south or west
+        if nxt is None:
+            return cur
+        cur = nxt
+
 
 def _ribbon(cells: dict[tuple[int, int], int], x: tuple[int, int], i: int,
             allow_2b: bool) -> None:
@@ -78,16 +108,7 @@ def _ribbon(cells: dict[tuple[int, int], int], x: tuple[int, int], i: int,
         cells[x] = lo
         cells[(r, c + 1)] = hi
         return
-    cur = x
-    while True:
-        r, c = cur
-        south = (r + 1, c) if cells.get((r + 1, c)) in (lo, hi) else None
-        west = (r, c - 1) if cells.get((r, c - 1)) in (lo, hi) else None
-        assert south is None or west is None, "ribbon forks"
-        nxt = south or west
-        if nxt is None:
-            break
-        cur = nxt
+    cur = _ribbon_head(cells, x, i)
     if cur == x:
         cells[x] = hi
     elif allow_2b and cur[0] == cur[1]:
@@ -97,14 +118,44 @@ def _ribbon(cells: dict[tuple[int, int], int], x: tuple[int, int], i: int,
         cells[cur] = hi
 
 
-def _bold_letter(t: Rows, i: int) -> Optional[tuple[tuple[int, int], bool]]:
-    """Cell and primality of the rightmost unbracketed letter i in rw(t)."""
+def _unribbon(cells: dict[tuple[int, int], int], y: tuple[int, int], i: int
+              ) -> Iterator[tuple[dict[tuple[int, int], int], tuple[int, int]]]:
+    """Local preimages of the lowering rewrite, around the bold cell y.
+
+    Yields (changed cells, cell lowered to i) for the inverse of case A,
+    of case D, and of case B, in that order.
+    """
+    lo, hi, low = tb.code(i + 1, True), tb.code(i + 1, False), tb.code(i, False)
+    assert cells[y] == hi, "bold cell must hold plain i+1"
+    r, c = y
+    if cells.get((r, c - 1)) == lo:
+        yield {(r, c - 1): low, y: lo}, (r, c - 1)
+    # walk the ribbon back to its start: north first, east only from i+1
+    cur = y
+    while True:
+        r, c = cur
+        if cells.get((r - 1, c)) in (lo, hi):
+            cur = (r - 1, c)
+        elif cells[cur] == hi and cells.get((r, c + 1)) in (lo, hi):
+            cur = (r, c + 1)
+        else:
+            break
+    if cur != y and cells[cur] == lo:
+        yield {cur: low, y: lo}, cur
+    yield {y: low}, y
+
+
+def _bold_letter(t: Rows, i: int, raising: bool = False
+                 ) -> Optional[tuple[tuple[int, int], bool]]:
+    """Cell and primality of the bold letter in rw(t): the rightmost
+    unbracketed i, or when raising the leftmost unbracketed i+1."""
     items = tb.rw_pt_cells(t)
     values = tuple(v for v, _, _ in items)
-    _, closers = words.unbracketed(i, values)
-    if not closers:
+    openers, closers = words.unbracketed(i, values)
+    picks = openers[:1] if raising else closers[-1:]
+    if not picks:
         return None
-    _, primed, cell = items[closers[-1]]
+    _, primed, cell = items[picks[0]]
     return cell, primed
 
 
@@ -126,21 +177,85 @@ def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
         _ribbon(cells, (cell[1], cell[0]), i, allow_2b=False)
         out = tb.conjugate_inverse(cells)
     else:
-        cells = {
-            (r, r + j): v for r, row in enumerate(t) for j, v in enumerate(row)
-        }
+        cells = _cells(t)
         _ribbon(cells, cell, i, allow_2b=True)
-        rows = []
-        for r, row in enumerate(t):
-            rows.append(tuple(cells[(r, r + j)] for j in range(len(row))))
-        out = tuple(rows)
+        out = _rows(t, cells)
     msg = tb.validate_pt(out)
     assert msg is None, f"ribbon produced an invalid tableau: {msg}"
     return out
 
 
+def _preimages(i: int, t: Rows, y: tuple[int, int], primed: bool
+               ) -> Iterator[tuple[Rows, tuple[tuple[int, int], bool]]]:
+    """Candidates for e_i(t) with bold letter at y, in rule order, each
+    with the letter it lowered to i (cell and primality)."""
+    if primed:
+        cells = _cells(t)
+        head = _ribbon_head(cells, y, i)
+        if head != y and head[0] == head[1]:
+            cells[y] = tb.code(i, False)
+            yield _rows(t, cells), (y, False)
+        conj = tb.conjugate(t)
+        for changes, (r, c) in _unribbon(conj, (y[1], y[0]), i):
+            yield tb.conjugate_inverse({**conj, **changes}), ((c, r), True)
+    else:
+        cells = _cells(t)
+        for changes, x in _unribbon(cells, y, i):
+            yield _rows(t, {**cells, **changes}), (x, False)
+
+
+def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
+    """Raising operator: the ribbon rule of f_even_pt undone.
+
+    The bold letter is the leftmost unbracketed i+1 of rw(t).  Undoing
+    the ribbon rule around it can be locally ambiguous; the preimage is
+    the candidate whose own bold letter for f_i is the letter that was
+    lowered to i, so f_i lowers it back.
+
+    (A) the cell west of an unprimed bold letter holds (i+1)'; that
+    cell becomes i and the bold letter (i+1)':
+
+    >>> tb.fmt_primed(e_even_pt(1, tb.parse_primed("1 2' 2")))
+    "1 1 2'"
+
+    (D) the ribbon walked back from the bold letter (north first, east
+    only from an unprimed i+1) starts at (i+1)'; that start becomes i and
+    the bold letter (i+1)':
+
+    >>> tb.fmt_primed(e_even_pt(2, tb.parse_primed("1 1 3' / 2 3")))
+    "1 1 2 / 2 3'"
+
+    (B) otherwise the bold letter becomes i, also where D would apply
+    but the bracketing says B:
+
+    >>> tb.fmt_primed(e_even_pt(2, tb.parse_primed("1 1 1 3' / 2 3 3")))
+    "1 1 1 3' / 2 2 3"
+
+    (2b) a primed bold letter whose south/west ribbon ends on the main
+    diagonal becomes i:
+
+    >>> tb.fmt_primed(e_even_pt(1, tb.parse_primed("1 2' / 2")))
+    '1 1 / 2'
+
+    any other primed bold letter is undone on the conjugate tableau:
+
+    >>> tb.fmt_primed(e_even_pt(2, tb.parse_primed("1 3' / 3")))
+    "1 2' / 3"
+    >>> e_even_pt(1, tb.parse_primed("1 1 1 / 2")) is None
+    True
+    """
+    bold = _bold_letter(t, i, raising=True)
+    if bold is None:
+        return None
+    out = next((s for s, lowered in _preimages(i, t, *bold)
+                if _bold_letter(s, i) == lowered), None)
+    msg = "no candidate" if out is None else tb.validate_pt(out)
+    assert msg is None, f"inverse ribbon produced no valid tableau: {msg}"
+    return out
+
+
 # ---------------------------------------------------------------------------
-# transport through mixed insertion
+# transport through insertion (an oracle for the explicit rules)
 
 def transport_op(t: Rows, q: Rows,
                  word_op: Callable[[tuple[int, ...]], Optional[tuple]]
@@ -153,16 +268,6 @@ def transport_op(t: Rows, q: Rows,
     p2, q2 = mixed.hm(w2)
     assert q2 == q, "operator moved the recording tableau"
     return p2
-
-
-def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
-    """Raising operator, transported with the canonical recording tableau.
-
-    >>> tb.fmt_primed(e_even_pt(1, tb.parse_primed("1 1 2 / 2")))
-    '1 1 1 / 2'
-    """
-    q = mixed.q_canon(tb.shape_of(t))
-    return transport_op(t, q, lambda w: words.e_even(i, w))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ def enumerate_factorizations(perm: Perm, m: int) -> list[Factorization]:
     >>> enumerate_factorizations((1, 2), 2)
     [((0, ()), (0, ()))]
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     out = []
     for word in enumerate_reduced(perm):
         for cuts in itertools.combinations_with_replacement(

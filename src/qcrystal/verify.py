@@ -265,7 +265,7 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
         p for p in typeb.enumerate_perms(rank) if typeb.length(p) <= max_len
     ]
     for perm_ in perms:
-        ms = [m] if m else range(1, max_m + 1)
+        ms = [m] if m is not None else range(1, max_m + 1)
         for mm in ms:
             for fact in typeb.enumerate_factorizations(perm_, mm):
                 checked += 2

@@ -4,15 +4,21 @@
 ``perfbench/child.py`` calls tableau functions named in ``FAMILIES``.
 Both are loaded read-only here so that a rename or deletion in
 ``src/qcrystal`` fails a test instead of breaking the benchmark.
+``perfbench/run.py`` is loaded the same way for the output digest of the
+graph-pt workload, so that a wrong primed-tableau operator fails a test
+and not only the benchmark's output gate.
 """
 
+import contextlib
 import dataclasses
+import hashlib
 import importlib.util
+import io
 import pathlib
 
 import pytest
 
-from qcrystal import engine, models
+from qcrystal import cli, engine, models
 from qcrystal import tableaux as tb
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -28,6 +34,7 @@ def _load(name):
 
 spans = _load("spans")
 child = _load("child")
+run = _load("run")
 
 
 @pytest.mark.parametrize("name", [n for n in spans.NAMES
@@ -48,3 +55,12 @@ def test_family_functions_resolve():
     for enum, fmt, _, _ in child.FAMILIES.values():
         assert callable(getattr(tb, enum))
         assert callable(getattr(tb, fmt))
+
+
+def test_graph_pt_output_matches_benchmark_digest():
+    workload = run.WORKLOADS["graph-pt"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(workload["argv"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() \
+        == workload["sha256"]

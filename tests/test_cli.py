@@ -223,3 +223,22 @@ def test_words_above_nine_rejected_quickly(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "0..9" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["verify", "--suite", "equivalence", "--perm", "3,2,-1", "--m", "0"],
+     "--m"),
+    (["enumerate", "--what", "pt", "--n", "0", "--shape", "1"], "--n"),
+    (["enumerate", "--what", "ssdt", "--n", "0", "--shape", "1"], "--n"),
+    (["enumerate", "--what", "factorizations", "--perm", "3,2,-1",
+      "--m", "0"], "--m"),
+], ids=["verify-m0", "enumerate-pt-n0", "enumerate-ssdt-n0",
+        "enumerate-fact-m0"])
+def test_bound_below_one_names_the_option(capsys, argv, option):
+    # each of these used to exit 0 (or 2 with an unrelated message):
+    # verify --m 0 checked m = 1..3, enumerate --n 0 printed "count 0"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{option} must be at least 1" in err

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrystal import mixed, ptops, words
 from qcrystal import tableaux as tb
@@ -66,15 +68,54 @@ def test_f_even_pt_examples():
 
 
 def test_e_even_pt_inverse_of_f():
-    for shape in [(2,), (3,), (2, 1), (3, 1)]:
-        for t in tb.enumerate_pt(3, shape):
-            for i in (1, 2):
+    n = 4
+    for shape in tb.strict_partitions(7):
+        if len(shape) > n:
+            continue
+        for t in tb.enumerate_pt(n, shape):
+            for i in range(1, n):
                 down = ptops.f_even_pt(i, t)
                 if down is not None:
                     assert ptops.e_even_pt(i, down) == t
                 up = ptops.e_even_pt(i, t)
                 if up is not None:
                     assert ptops.f_even_pt(i, up) == t
+
+
+def transported_e(i, t):
+    """The raising operator transported through mixed insertion."""
+    return ptops.transport_op(t, mixed.q_canon(tb.shape_of(t)),
+                              lambda w: words.e_even(i, w))
+
+
+def test_e_even_pt_matches_transport_exhaustively():
+    # every primed tableau with entries <= 4 and |shape| <= 7, every color
+    n = 4
+    cases = 0
+    for shape in tb.strict_partitions(7):
+        if len(shape) > n:
+            continue
+        for t in tb.enumerate_pt(n, shape):
+            for i in range(1, n):
+                assert ptops.e_even_pt(i, t) == transported_e(i, t), (i, t)
+                cases += 1
+    assert cases == 14280
+
+
+@pytest.mark.parametrize("i,t,expect", [
+    # the inverse ribbon is locally ambiguous here (B against D, or B
+    # against 2b); the bracketing picks the preimage
+    (2, "1 1 1 3' / 2 3 3", "1 1 1 3' / 2 2 3"),
+    (2, "1 1 3' / 2 3' / 3", "1 1 2' / 2 3' / 3"),
+    (2, "1 2' 3' / 3 3", "1 2' 3' / 2 3"),
+    (1, "1 2' / 2", "1 1 / 2"),
+    (2, "1 3' / 3", "1 2' / 3"),
+    (1, "2 2", "1 2"),
+])
+def test_e_even_pt_hard_cases(i, t, expect):
+    t, expect = tb.parse_primed(t), tb.parse_primed(expect)
+    assert transported_e(i, t) == expect
+    assert ptops.e_even_pt(i, t) == expect
 
 
 def test_f_even_pt_weight_shift_and_validity():
@@ -91,6 +132,41 @@ def test_f_even_pt_weight_shift_and_validity():
                 expect = [0] * n
                 expect[i - 1], expect[i] = 1, -1
                 assert diff == tuple(expect)
+
+
+# ---------------------------------------------------------------------------
+# properties past the exhaustive bounds: n = 6, |shape| <= 10
+
+PROPERTY_N = 6
+PROPERTY_SHAPES = [s for s in tb.strict_partitions(10) if len(s) <= PROPERTY_N]
+
+
+@st.composite
+def reachable_pt(draw):
+    """A primed tableau reached from the highest one by lowering steps."""
+    t = ptops.highest_pt(PROPERTY_N, draw(st.sampled_from(PROPERTY_SHAPES)))
+    colors = st.sampled_from(["b1", *range(1, PROPERTY_N)])
+    # shorter walks stay near the highest tableau and rarely reach the
+    # letter n; with at least 20 steps most examples do
+    for color in draw(st.lists(colors, min_size=20, max_size=80)):
+        down = (ptops.f_bar1_pt(t) if color == "b1"
+                else ptops.f_even_pt(color, t))
+        if down is not None:
+            t = down
+    return t
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reachable_pt())
+def test_even_pt_ops_properties(t):
+    for i in range(1, PROPERTY_N):
+        down = ptops.f_even_pt(i, t)
+        if down is not None:
+            assert ptops.e_even_pt(i, down) == t
+        up = ptops.e_even_pt(i, t)
+        assert up == transported_e(i, t)
+        if up is not None:
+            assert ptops.f_even_pt(i, up) == t
 
 
 # ---------------------------------------------------------------------------

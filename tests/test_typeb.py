@@ -154,6 +154,19 @@ def test_enumerate_factorizations_identity():
     ]
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_enumerate_factorizations_rejects_m_below_one(m):
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        typeb.enumerate_factorizations((3, 2, -1), m)
+
+
+def test_fact_transport_reads_m_zero_as_given():
+    # m = 0 is a bound to reject, not "no m given" (which checks m = 1..3)
+    from qcrystal import verify
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        verify.check_fact_transport(perm=(3, 2, -1), m=0)
+
+
 def test_enumerate_factorizations_u3():
     facts = typeb.enumerate_factorizations((3, 2, -1), 3)
     assert len(facts) == len(set(facts))
