@@ -6,7 +6,9 @@ as DOT or JSON, ``enumerate`` lists a finite family with its count, and
 ``verify`` runs the exhaustive check suites.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 vertex cap
-exceeded (the cap honors the QCRYSTAL_MAX_VERTICES environment variable).
+exceeded (the cap honors the QCRYSTAL_MAX_VERTICES environment variable),
+4 internal invariant failure (a bug, reported as one ``internal error:``
+line).
 Results go to stdout, diagnostics to stderr; output is deterministic for
 a fixed command line.
 """
@@ -221,6 +223,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except tb.InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from qcrystal import tableaux as tb
 from qcrystal import typeb
-from qcrystal.tableaux import NotInImage, Rows
+from qcrystal.tableaux import InvariantError, NotInImage, Rows
 
 
 class InsertionError(ValueError):
@@ -132,7 +132,8 @@ def _insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
         r += 1
     out = tuple(work)
     msg = validate_sdt(out)
-    assert msg is None, f"insertion produced an invalid tableau: {msg}"
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
     return out, cell
 
 
@@ -161,11 +162,13 @@ def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
         p, (r, c) = _insert(p, a)
         if r == len(q_work):
             q_work.append([])
-        assert len(q_work[r]) == c - r, "recording cell out of order"
+        if len(q_work[r]) != c - r:
+            raise InvariantError("recording cell out of order")
         q_work[r].append(step)
     q = tb.freeze(q_work)
     msg = tb.validate_st(q)
-    assert msg is None, f"recording tableau invalid: {msg}"
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
     return p, q
 
 
@@ -272,7 +275,8 @@ def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     rec(p, 0, [])
     if not survivors:
         raise NotInImage("no reduced word inserts to the pair")
-    assert len(survivors) == 1, f"insertion not injective: {survivors}"
+    if len(survivors) != 1:
+        raise InvariantError(f"insertion not injective: {survivors}")
     return survivors[0]
 
 
@@ -298,7 +302,8 @@ def vee_bottom_cells(cells) -> Optional[int]:
             valid.append(k)
     if not valid:
         return None
-    assert len(valid) == 1, f"ambiguous vee corner: {valid}"
+    if len(valid) != 1:
+        raise InvariantError(f"ambiguous vee corner: {valid}")
     return valid[0]
 
 
@@ -331,7 +336,9 @@ def pkr(fact) -> tuple[Rows, Rows]:
         if not boxes:
             continue
         k = vee_bottom_cells(boxes)
-        assert k is not None, f"factor {fi} boxes do not form a vee: {boxes}"
+        if k is None:
+            raise InvariantError(
+                f"factor {fi} boxes do not form a vee: {boxes}")
         for idx, cell in enumerate(boxes, start=1):
             t_cells[cell] = tb.code(fi, idx < k or (idx == k and sign < 0))
     t = tuple(
@@ -339,7 +346,8 @@ def pkr(fact) -> tuple[Rows, Rows]:
         for r, row in enumerate(rows)
     )
     msg = tb.validate_pt(t, diagonal_unprimed=False)
-    assert msg is None, f"recording tableau invalid: {msg}"
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
     return rows, t
 
 
@@ -412,5 +420,6 @@ def pkr_inverse(p: Rows, t: Rows, m: Optional[int] = None):
     rec(p, 0, [])
     if not survivors:
         raise NotInImage("no factorization inserts to the pair")
-    assert len(survivors) == 1, f"insertion not injective: {survivors}"
+    if len(survivors) != 1:
+        raise InvariantError(f"insertion not injective: {survivors}")
     return survivors[0]

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from qcrystal import tableaux as tb
-from qcrystal.tableaux import NotInImage, Rows
+from qcrystal.tableaux import InvariantError, NotInImage, Rows
 
 
 def q_canon(shape) -> Rows:
@@ -77,12 +77,14 @@ def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
             if target is None:
                 r_new = col_rows[-1] + 1 if col_rows else 0
                 if r_new == len(work):
-                    assert r_new == k, "column append fell off the staircase"
+                    if r_new != k:
+                        raise InvariantError(
+                            "column append fell off the staircase")
                     work.append([v])
                 else:
-                    assert r_new + len(work[r_new]) == k, (
-                        "column append is not adjacent to its row"
-                    )
+                    if r_new + len(work[r_new]) != k:
+                        raise InvariantError(
+                            "column append is not adjacent to its row")
                     work[r_new].append(v)
                 cell = (r_new, k)
                 break
@@ -96,7 +98,8 @@ def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
                 mode, k, v = "row", target + 1, u
     frozen = tb.freeze(work)
     msg = tb.validate_pt(frozen)
-    assert msg is None, f"insertion produced an invalid tableau: {msg}"
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
     return frozen, cell
 
 
@@ -120,11 +123,13 @@ def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
         p, (r, c) = _insert(p, a)
         if r == len(q_work):
             q_work.append([])
-        assert len(q_work[r]) == c - r, "recording cell out of order"
+        if len(q_work[r]) != c - r:
+            raise InvariantError("recording cell out of order")
         q_work[r].append(step)
     q = tb.freeze(q_work)
     msg = tb.validate_st(q)
-    assert msg is None, f"recording tableau invalid: {msg}"
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
     return p, q
 
 

@@ -47,7 +47,8 @@ def _ssdt_op(op, t: Rows):
         return None
     t2 = _ssdt_recut(t, out)
     msg = tb.validate_ssdt(t2)
-    assert msg is None, f"operator left the family: {msg}"
+    if msg is not None:
+        raise tb.InvariantError(f"operator left the family: {msg}")
     return t2
 
 
@@ -146,7 +147,8 @@ def highest_ssdt(n: int, shape) -> Rows:
         for r, part in enumerate(shape)
     )
     msg = tb.validate_ssdt(out, n=n)
-    assert msg is None, msg
+    if msg is not None:
+        raise tb.InvariantError(msg)
     return out
 
 
@@ -162,5 +164,6 @@ def lowest_ssdt(n: int, shape) -> Rows:
         raise ValueError(f"shape {shape} has more than {n} rows")
     out = tuple((n - r,) * part for r, part in enumerate(shape))
     msg = tb.validate_ssdt(out, n=n)
-    assert msg is None, msg
+    if msg is not None:
+        raise tb.InvariantError(msg)
     return out

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 from qcrystal import mixed, words
 from qcrystal import tableaux as tb
-from qcrystal.tableaux import Rows
+from qcrystal.tableaux import InvariantError, Rows
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,8 @@ def _ribbon_head(cells: dict[tuple[int, int], int], x: tuple[int, int],
         r, c = cur
         south = (r + 1, c) if cells.get((r + 1, c)) in ribbon else None
         west = (r, c - 1) if cells.get((r, c - 1)) in ribbon else None
-        assert south is None or west is None, "ribbon forks"
+        if south is not None and west is not None:
+            raise InvariantError("ribbon forks")
         nxt = south or west
         if nxt is None:
             return cur
@@ -102,7 +103,8 @@ def _ribbon(cells: dict[tuple[int, int], int], x: tuple[int, int], i: int,
             allow_2b: bool) -> None:
     """Apply the lowering rewrite around the bold cell x, in place."""
     lo, hi = tb.code(i + 1, True), tb.code(i + 1, False)
-    assert cells[x] == tb.code(i, False), "bold cell must hold plain i"
+    if cells[x] != tb.code(i, False):
+        raise InvariantError("bold cell must hold plain i")
     r, c = x
     if cells.get((r, c + 1)) == lo:
         cells[x] = lo
@@ -126,7 +128,8 @@ def _unribbon(cells: dict[tuple[int, int], int], y: tuple[int, int], i: int
     of case D, and of case B, in that order.
     """
     lo, hi, low = tb.code(i + 1, True), tb.code(i + 1, False), tb.code(i, False)
-    assert cells[y] == hi, "bold cell must hold plain i+1"
+    if cells[y] != hi:
+        raise InvariantError("bold cell must hold plain i+1")
     r, c = y
     if cells.get((r, c - 1)) == lo:
         yield {(r, c - 1): low, y: lo}, (r, c - 1)
@@ -181,7 +184,8 @@ def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
         _ribbon(cells, cell, i, allow_2b=True)
         out = _rows(t, cells)
     msg = tb.validate_pt(out)
-    assert msg is None, f"ribbon produced an invalid tableau: {msg}"
+    if msg is not None:
+        raise InvariantError(f"ribbon produced an invalid tableau: {msg}")
     return out
 
 
@@ -250,7 +254,9 @@ def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
     out = next((s for s, lowered in _preimages(i, t, *bold)
                 if _bold_letter(s, i) == lowered), None)
     msg = "no candidate" if out is None else tb.validate_pt(out)
-    assert msg is None, f"inverse ribbon produced no valid tableau: {msg}"
+    if msg is not None:
+        raise InvariantError(
+            f"inverse ribbon produced no valid tableau: {msg}")
     return out
 
 
@@ -266,7 +272,8 @@ def transport_op(t: Rows, q: Rows,
     if w2 is None:
         return None
     p2, q2 = mixed.hm(w2)
-    assert q2 == q, "operator moved the recording tableau"
+    if q2 != q:
+        raise InvariantError("operator moved the recording tableau")
     return p2
 
 
@@ -335,5 +342,6 @@ def lowest_pt(n: int, shape) -> Rows:
         for r, part in enumerate(shape)
     )
     msg = tb.validate_pt(out, n=n)
-    assert msg is None, msg
+    if msg is not None:
+        raise InvariantError(msg)
     return out

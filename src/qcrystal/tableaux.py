@@ -83,19 +83,20 @@ def code_primed(c: int) -> bool:
     return c % 2 == 1
 
 
-def get(rows: Rows, r: int, c: int):
-    """Entry at 0-based cell (r, c), or None if outside the shape."""
-    if 0 <= r < len(rows) and r <= c < r + len(rows[r]):
-        return rows[r][c - r]
-    return None
-
-
 def freeze(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(tuple(r) for r in rows)
 
 
 class NotInImage(ValueError):
     """The tableau pair is not produced by the insertion (hm, kr or pkr)."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, not bad input.
+
+    Raised by explicit checks rather than ``assert``, so that it survives
+    ``python -O``.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +146,25 @@ def parse_plain(text: str) -> Rows:
 # ---------------------------------------------------------------------------
 # hook and unimodal words
 
-def hook_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split off the maximal weakly decreasing prefix.
-
-    >>> hook_split((3, 2, 1, 2))
-    ((3, 2, 1), (2,))
-    >>> hook_split((3, 2, 2))
-    ((3, 2, 2), ())
-    """
-    w = tuple(w)
-    if not w:
-        raise ValueError("hook_split of an empty word")
-    k = 1
-    while k < len(w) and w[k] <= w[k - 1]:
-        k += 1
-    return w[:k], w[k:]
-
-
 def strictly_increasing(w: Sequence[int]) -> bool:
     return all(a < b for a, b in zip(w, w[1:]))
 
 
 def is_hook(w: Sequence[int]) -> bool:
-    """Weakly decreasing then strictly increasing; empty words rejected."""
-    dec, inc = hook_split(w)
-    return strictly_increasing(inc)
+    """Weakly decreasing then strictly increasing; empty words rejected.
+
+    >>> is_hook((3, 2, 1, 2)), is_hook((3, 2, 2)), is_hook((1, 2, 2))
+    (True, True, False)
+    """
+    m = len(w)
+    if not m:
+        raise ValueError("is_hook of an empty word")
+    k = 1
+    while k < m and w[k] <= w[k - 1]:
+        k += 1
+    while k < m and w[k] > w[k - 1]:
+        k += 1
+    return k == m
 
 
 def unimodal_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -214,28 +209,31 @@ def longest_unimodal_subword_len(w: Sequence[int]) -> int:
 
 def _longest_vee_len(w: Sequence[int], strict_dec: bool) -> int:
     # dec[p]: longest (weakly/strictly) decreasing subword ending at p;
-    # inc[p]: longest strictly increasing subword starting at p.
-    w = tuple(w)
+    # inc[p]: longest strictly increasing subword starting at p.  The best
+    # vee with its valley at p has length dec[p] + inc[p] - 1, because
+    # inc[p] is already 1 plus the longest strictly increasing
+    # continuation above w[p].  Letters are ints, so "w[q] >= w[p]" is
+    # "w[q] > w[p] - 1".
     m = len(w)
-    if m == 0:
-        return 0
     dec = [1] * m
     for p in range(m):
+        lo = w[p] if strict_dec else w[p] - 1
+        d = 1
         for q in range(p):
-            ok = w[q] > w[p] if strict_dec else w[q] >= w[p]
-            if ok:
-                dec[p] = max(dec[p], dec[q] + 1)
+            if w[q] > lo and dec[q] >= d:
+                d = dec[q] + 1
+        dec[p] = d
     inc = [1] * m
-    for p in range(m - 1, -1, -1):
-        for q in range(p + 1, m):
-            if w[q] > w[p]:
-                inc[p] = max(inc[p], inc[q] + 1)
     best = 0
-    for p in range(m):
-        tail = max(
-            (inc[q] for q in range(p + 1, m) if w[q] > w[p]), default=0
-        )
-        best = max(best, dec[p] + tail)
+    for p in range(m - 1, -1, -1):
+        wp = w[p]
+        k = 1
+        for q in range(p + 1, m):
+            if w[q] > wp and inc[q] >= k:
+                k = inc[q] + 1
+        inc[p] = k
+        if dec[p] + k - 1 > best:
+            best = dec[p] + k - 1
     return best
 
 
@@ -244,13 +242,22 @@ def _longest_vee_len(w: Sequence[int], strict_dec: bool) -> int:
 
 def _shape_ok(rows: Rows) -> Optional[str]:
     shape = shape_of(rows)
-    if any(length == 0 for length in shape):
+    if 0 in shape:
         return f"empty row in shape {shape}"
     try:
         check_strict(shape)
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _columns(rows: Rows) -> list[list[int]]:
+    """Entries of each column of a strict shifted shape, top to bottom."""
+    cols: list[list[int]] = [[] for _ in (rows[0] if rows else ())]
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row, r):
+            cols[c].append(v)
+    return cols
 
 
 def validate_pt(rows: Rows, n: Optional[int] = None,
@@ -264,24 +271,23 @@ def validate_pt(rows: Rows, n: Optional[int] = None,
         return msg
     for r, row in enumerate(rows):
         for j, c in enumerate(row):
-            if c < 1 or (n is not None and code_value(c) > n):
+            if c < 1 or (n is not None and c > 2 * n):
                 return f"entry {letter_str(c)} at {(r + 1, r + j + 1)} out of range"
+    # codes are primed iff odd, and a primed (unprimed) letter repeats iff
+    # its code does
     for r, row in enumerate(rows):
-        if diagonal_unprimed and code_primed(row[0]):
+        if diagonal_unprimed and row[0] % 2:
             return f"primed diagonal entry {letter_str(row[0])} in row {r + 1}"
-        if any(a > b for a, b in zip(row, row[1:])):
+        if list(row) != sorted(row):
             return f"row {r + 1} not weakly increasing"
-        primed_vals = [code_value(c) for c in row if code_primed(c)]
-        if len(primed_vals) != len(set(primed_vals)):
+        primed = [c for c in row if c % 2]
+        if len(primed) != len(set(primed)):
             return f"row {r + 1} repeats a primed letter"
-    ncols = max((r + len(row) for r, row in enumerate(rows)), default=0)
-    for c in range(ncols):
-        col = [get(rows, r, c) for r in range(len(rows))]
-        col = [v for v in col if v is not None]
-        if any(a > b for a, b in zip(col, col[1:])):
+    for c, col in enumerate(_columns(rows)):
+        if col != sorted(col):
             return f"column {c + 1} not weakly increasing"
-        unprimed_vals = [code_value(v) for v in col if not code_primed(v)]
-        if len(unprimed_vals) != len(set(unprimed_vals)):
+        unprimed = [v for v in col if not v % 2]
+        if len(unprimed) != len(set(unprimed)):
             return f"column {c + 1} repeats an unprimed letter"
     return None
 
@@ -294,14 +300,12 @@ def validate_st(rows: Rows) -> Optional[str]:
     entries = sorted(v for row in rows for v in row)
     if entries != list(range(1, len(entries) + 1)):
         return f"entries are not 1..{len(entries)}"
+    # the entries are distinct, so sorted means strictly increasing
     for r, row in enumerate(rows):
-        if any(a >= b for a, b in zip(row, row[1:])):
+        if list(row) != sorted(row):
             return f"row {r + 1} not strictly increasing"
-    ncols = max((r + len(row) for r, row in enumerate(rows)), default=0)
-    for c in range(ncols):
-        col = [get(rows, r, c) for r in range(len(rows))]
-        col = [v for v in col if v is not None]
-        if any(a >= b for a, b in zip(col, col[1:])):
+    for c, col in enumerate(_columns(rows)):
+        if col != sorted(col):
             return f"column {c + 1} not strictly increasing"
     return None
 
@@ -313,13 +317,12 @@ def validate_ssdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
     if msg:
         return msg
     for r, row in enumerate(rows):
-        if n is not None and any(not 1 <= v <= n for v in row):
+        if n is not None and (min(row) < 1 or max(row) > n):
             return f"row {r + 1} letter out of range 1..{n}"
         if not is_hook(row):
             return f"row {r + 1} is not a hook word"
     for r in range(len(rows) - 1):
-        cat = rows[r + 1] + rows[r]
-        if longest_hook_subword_len(cat) != len(rows[r]):
+        if not _ssdt_pair_ok(rows[r], rows[r + 1]):
             return (
                 f"row {r + 1} is not a maximal hook subword in rows "
                 f"{r + 2},{r + 1}"
@@ -337,17 +340,18 @@ def rw_pt_cells(rows: Rows) -> list[tuple[int, bool, tuple[int, int]]]:
     unprimed letters along rows, bottom row first.  Each item is
     (letter value, primed, cell).
     """
-    out = []
-    ncols = max((r + len(row) for r, row in enumerate(rows)), default=0)
-    for c in range(ncols - 1, -1, -1):
-        for r in range(len(rows)):
-            v = get(rows, r, c)
-            if v is not None and code_primed(v):
-                out.append((code_value(v), True, (r, c)))
+    primed: list[list[tuple[int, bool, tuple[int, int]]]] = [
+        [] for _ in (rows[0] if rows else ())
+    ]
+    unprimed = []
     for r in range(len(rows) - 1, -1, -1):
-        for j, v in enumerate(rows[r]):
-            if not code_primed(v):
-                out.append((code_value(v), False, (r, r + j)))
+        for c, v in enumerate(rows[r], r):
+            if v % 2:
+                primed[c].append(((v + 1) // 2, True, (r, c)))
+            else:
+                unprimed.append((v // 2, False, (r, c)))
+    out = [item for col in reversed(primed) for item in reversed(col)]
+    out.extend(unprimed)
     return out
 
 
@@ -491,7 +495,7 @@ def border_strips(shape: Sequence[int]) -> list[list[tuple[tuple[int, int], bool
                 break
             used.add((r, c))
         if len(strip) != shape[l - i]:
-            raise AssertionError(
+            raise InvariantError(
                 f"border strip {i} of {shape} has size {len(strip)}, "
                 f"expected {shape[l - i]}"
             )
@@ -621,6 +625,6 @@ def enumerate_ssdt(n: int, shape: Sequence[int]) -> list[Rows]:
     return results
 
 
-def _ssdt_pair_ok(upper: Sequence[int], lower: Sequence[int]) -> bool:
+def _ssdt_pair_ok(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     """The maximality condition coupling two consecutive rows."""
-    return longest_hook_subword_len(tuple(lower) + tuple(upper)) == len(upper)
+    return longest_hook_subword_len(lower + upper) == len(upper)

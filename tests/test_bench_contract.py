@@ -4,9 +4,10 @@
 ``perfbench/child.py`` calls tableau functions named in ``FAMILIES``.
 Both are loaded read-only here so that a rename or deletion in
 ``src/qcrystal`` fails a test instead of breaking the benchmark.
-``perfbench/run.py`` is loaded the same way for the output digest of the
-graph-pt workload, so that a wrong primed-tableau operator fails a test
-and not only the benchmark's output gate.
+``perfbench/run.py`` is loaded the same way for the output digests of the
+three graph workloads, so that a wrong operator or validator on primed
+tableaux, decomposition tableaux or factorizations fails a test and not
+only the benchmark's output gate.
 """
 
 import contextlib
@@ -57,10 +58,22 @@ def test_family_functions_resolve():
         assert callable(getattr(tb, fmt))
 
 
-def test_graph_pt_output_matches_benchmark_digest():
-    workload = run.WORKLOADS["graph-pt"]
+def _assert_output_digest(name):
+    workload = run.WORKLOADS[name]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(workload["argv"]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() \
         == workload["sha256"]
+
+
+def test_graph_pt_output_matches_benchmark_digest():
+    _assert_output_digest("graph-pt")
+
+
+def test_graph_fact_output_matches_benchmark_digest():
+    _assert_output_digest("graph-fact")
+
+
+def test_graph_ssdt_output_matches_benchmark_digest():
+    _assert_output_digest("graph-ssdt")

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from qcrystal import cli
+from qcrystal import tableaux as tb
 
 
 def run(capsys, *argv):
@@ -87,6 +88,21 @@ def test_graph_cap_exceeded(capsys, monkeypatch):
                          "--n", "3", "--shape", "3,1")
     assert code == 3
     assert "cap" in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    real = tb.validate_ssdt
+
+    def planted(rows, n=None):
+        # the seed check passes n; only the operator output check fails
+        return real(rows, n) if n is not None else "planted fault"
+
+    monkeypatch.setattr(tb, "validate_ssdt", planted)
+    code, out, err = run(capsys, "graph", "--model", "ssdt",
+                         "--n", "3", "--shape", "2,1")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: operator left the family: planted fault\n"
 
 
 def test_graph_missing_flags(capsys):

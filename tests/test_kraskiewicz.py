@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import reference_validators as ref
 from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 from qcrystal import typeb
@@ -52,6 +53,14 @@ def test_validate_sdt():
     assert kw.validate_sdt(((1, 2), (0,))) is not None
     # letters out of range
     assert kw.validate_sdt(((3,),), n=2) is not None
+
+
+def test_validate_sdt_matches_reference():
+    # the insertion tableaux verify's kr round trip reaches, each also
+    # with every one-cell change to a neighbouring letter in -1..3
+    ps = sorted({kw.kr(w)[0] for w in reduced_words(3, 5)})
+    for rows in ref.with_neighbours(ps, -1, 3):
+        assert kw.validate_sdt(rows, n=3) == ref.validate_sdt(rows, n=3)
 
 
 def test_kr_shapes_and_reading_words():

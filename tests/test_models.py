@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from qcrystal import engine, models, ptops, typeb
@@ -108,3 +113,35 @@ def test_model_fact_agrees_with_spt_counts():
     )
     assert len(ps) == 2
     assert total == len(facts) == 162
+
+
+def _planted_fault(rows, n=None):
+    return "planted fault"
+
+
+def test_ssdt_operator_output_check_raises_invariant_error(monkeypatch):
+    model = models.model_ssdt(3)
+    hi = models.highest_ssdt(3, (2, 1))
+    monkeypatch.setattr(tb, "validate_ssdt", _planted_fault)
+    with pytest.raises(tb.InvariantError,
+                       match="operator left the family: planted fault"):
+        model.f(1, hi)
+
+
+def test_invariant_check_survives_optimize_flag():
+    # under python -O every assert is stripped; the output check must not be
+    script = (
+        "from qcrystal import models, tableaux as tb\n"
+        "tb.validate_ssdt = lambda rows, n=None: 'planted fault'\n"
+        "try:\n"
+        "    models.model_ssdt(3).f(1, ((2, 1), (1,)))\n"
+        "except tb.InvariantError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised operator left the family: planted fault\n"

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_validators as ref
 from qcrystal import tableaux as tb
 from qcrystal.typeb import parse_word
 
@@ -12,11 +15,14 @@ from qcrystal.typeb import parse_word
 
 
 def test_hook_split():
-    assert tb.hook_split((3, 2, 2)) == ((3, 2, 2), ())
-    assert tb.hook_split((3, 2, 1, 2)) == ((3, 2, 1), (2,))
-    assert tb.hook_split((1,)) == ((1,), ())
+    # the reference hook test splits the word; the library scans it once
+    assert ref.hook_split((3, 2, 2)) == ((3, 2, 2), ())
+    assert ref.hook_split((3, 2, 1, 2)) == ((3, 2, 1), (2,))
+    assert ref.hook_split((1,)) == ((1,), ())
     with pytest.raises(ValueError):
-        tb.hook_split(())
+        ref.hook_split(())
+    with pytest.raises(ValueError):
+        tb.is_hook(())
 
 
 def test_is_hook():
@@ -66,6 +72,20 @@ def test_subword_dp_against_brute_force(seed):
         )
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=14).map(tuple))
+def test_subword_kernels_match_reference(w):
+    hook = tb.longest_hook_subword_len(w)
+    unimodal = tb.longest_unimodal_subword_len(w)
+    assert hook == ref.longest_vee_len(w, strict_dec=False)
+    assert unimodal == ref.longest_vee_len(w, strict_dec=True)
+    if w:
+        assert tb.is_hook(w) == ref.is_hook(w)
+    if len(w) <= 10:
+        assert hook == _brute_longest(w, tb.is_hook)
+        assert unimodal == _brute_longest(w, tb.is_unimodal)
+
+
 # ---------------------------------------------------------------------------
 # codes, text forms
 
@@ -105,8 +125,8 @@ def test_shape_helpers():
     with pytest.raises(ValueError):
         tb.parse_shape("3,3")
     assert list(tb.shape_cells((2, 1))) == [(0, 0), (0, 1), (1, 1)]
-    assert tb.get(((2, 3), (4,)), 1, 1) == 4
-    assert tb.get(((2, 3), (4,)), 1, 0) is None
+    assert ref.get(((2, 3), (4,)), 1, 1) == 4
+    assert ref.get(((2, 3), (4,)), 1, 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +173,46 @@ def test_validate_st():
     assert tb.validate_st(((1, 3, 4), (2,))) is not None  # column 2,3 decreasing? no: (0,1)=3,(1,1)=2
     assert tb.validate_st(((1, 2), (2,))) is not None
     assert tb.validate_st(()) is None
+
+
+def test_validate_pt_matches_reference():
+    # every PT with entries at most 4 and |shape| <= 7, and every one-cell
+    # change to a neighbouring code, including the out-of-range 0 and 4'
+    pts = [t for shape in tb.strict_partitions(7)
+           for t in tb.enumerate_pt(4, shape)]
+    for rows in ref.with_neighbours(pts, 0, 9):
+        assert tb.validate_pt(rows, n=4) == ref.validate_pt(rows, n=4)
+    for rows in pts:
+        assert tb.rw_pt_cells(rows) == ref.rw_pt_cells(rows)
+    spts = [t for shape in tb.strict_partitions(6)
+            for t in tb.enumerate_pt(3, shape, diagonal_unprimed=False)]
+    for rows in ref.with_neighbours(spts, 0, 7):
+        assert tb.validate_pt(rows, diagonal_unprimed=False) \
+            == ref.validate_pt(rows, diagonal_unprimed=False)
+    for rows in spts:
+        assert tb.rw_pt_cells(rows) == ref.rw_pt_cells(rows)
+
+
+def test_validate_st_matches_reference():
+    # one-cell changes break the entry set; permuted fillings reach the
+    # row and column checks
+    sts = [t for shape in tb.strict_partitions(7)
+           for t in tb.enumerate_st(shape)]
+    for rows in ref.with_neighbours(sts, 0, 8):
+        assert tb.validate_st(rows) == ref.validate_st(rows)
+    for shape in tb.strict_partitions(6):
+        for perm in itertools.permutations(range(1, sum(shape) + 1)):
+            it = iter(perm)
+            rows = tuple(tuple(next(it) for _ in range(part))
+                         for part in shape)
+            assert tb.validate_st(rows) == ref.validate_st(rows)
+
+
+def test_validate_ssdt_matches_reference():
+    ssdts = [t for shape in tb.strict_partitions(6)
+             for t in tb.enumerate_ssdt(4, shape)]
+    for rows in ref.with_neighbours(ssdts, 0, 5):
+        assert tb.validate_ssdt(rows, n=4) == ref.validate_ssdt(rows, n=4)
 
 
 def test_validate_ssdt_golden():
