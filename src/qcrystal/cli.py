@@ -145,11 +145,20 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# verify options that only some suites read, with those suites
+_SUITE_OPTIONS = (("corrupt", ("axioms",)), ("perm", ("equivalence", "all")),
+                  ("m", ("equivalence", "all")))
+
+
 def cmd_verify(args) -> int:
     _at_least_one(args, ["n", "max-size", "m"])
+    for name, suites in _SUITE_OPTIONS:
+        value = getattr(args, name)
+        if value is not None and value is not False \
+                and args.suite not in suites:
+            raise ValueError(f"--{name} only applies to --suite "
+                             + " or ".join(suites))
     perm = typeb.parse_perm(args.perm) if args.perm else None
-    if args.corrupt and args.suite != "axioms":
-        raise ValueError("--corrupt only applies to --suite axioms")
     if args.suite == "axioms":
         report = verify_mod.verify_axioms(args.n, args.max_size,
                                           corrupt=args.corrupt)

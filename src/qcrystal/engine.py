@@ -172,58 +172,51 @@ def component(model: CrystalModel, seed: Element,
               cap: Optional[int] = None) -> CrystalGraph:
     """BFS closure of seed under all e/f arrows, as an explicit graph.
 
-    Vertices are sorted by their canonical encoding, so two runs over the
-    same component produce identical graphs.  Raises CapExceeded if the
-    closure grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
+    One pass: every vertex gets an id when it is first reached, and f then
+    e of each color (the odd pair last) runs on it exactly once, its
+    targets kept as ids.  e is applied on its own, never read off the
+    f-arrows, so mispaired operators still fail gl4/q4.  Vertices are then
+    sorted by their canonical encoding, so two runs over the same
+    component produce identical graphs.  Raises CapExceeded if the closure
+    grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
     """
     cap = _cap_from_env(cap)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for c in _neighbors(model, b):
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > cap:
-                        raise CapExceeded(cap)
-                    nxt.append(c)
-        frontier = nxt
-    vertices = sorted(seen, key=model.fmt)
+    ids = {seed: 0}
+    found = [seed]
+
+    def visit(c: Optional[Element]) -> Optional[int]:
+        if c is None:
+            return None
+        k = ids.get(c)
+        if k is None:
+            k = ids[c] = len(found)
+            if k >= cap:
+                raise CapExceeded(cap)
+            found.append(c)
+        return k
+
+    arrows = []
+    for b in found:
+        row = []
+        for i in range(1, model.n):
+            row += visit(model.f(i, b)), visit(model.e(i, b))
+        row += (None if model.f_bar is None else visit(model.f_bar(b)),
+                None if model.e_bar is None else visit(model.e_bar(b)))
+        arrows.append(tuple(row))
+    vertices = sorted(found, key=model.fmt)
     index = {b: k for k, b in enumerate(vertices)}
+    to_index = [index[b] for b in found]
+    colors = [*range(1, model.n), "b1"]
     f_edges: dict[tuple[Color, int], int] = {}
     e_edges: dict[tuple[Color, int], int] = {}
-    for b in vertices:
-        u = index[b]
-        for i in range(1, model.n):
-            c = model.f(i, b)
-            if c is not None:
-                f_edges[(i, u)] = index[c]
-            c = model.e(i, b)
-            if c is not None:
-                e_edges[(i, u)] = index[c]
-        if model.f_bar is not None:
-            c = model.f_bar(b)
-            if c is not None:
-                f_edges[("b1", u)] = index[c]
-        if model.e_bar is not None:
-            c = model.e_bar(b)
-            if c is not None:
-                e_edges[("b1", u)] = index[c]
+    for u, b in enumerate(vertices):
+        row = arrows[ids[b]]
+        for color, down, up in zip(colors, row[::2], row[1::2]):
+            if down is not None:
+                f_edges[(color, u)] = to_index[down]
+            if up is not None:
+                e_edges[(color, u)] = to_index[up]
     return CrystalGraph(model, vertices, index, f_edges, e_edges)
-
-
-def _neighbors(model: CrystalModel, b: Element):
-    for i in range(1, model.n):
-        for op in (model.e, model.f):
-            c = op(i, b)
-            if c is not None:
-                yield c
-    for op in (model.e_bar, model.f_bar):
-        if op is not None:
-            c = op(b)
-            if c is not None:
-                yield c
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,6 @@ def _insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
     return out, cell
 
 
-def kr_insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
-    """Public single-letter insertion; the reported cell is 1-based.
-
-    >>> kr_insert((), 2)
-    (((2,),), (1, 1))
-    """
-    out, (r, c) = _insert(rows, a)
-    return out, (r + 1, c + 1)
-
-
 def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
     """Insertion and recording tableaux of a reduced word.
 

@@ -25,18 +25,6 @@ from qcrystal import tableaux as tb
 from qcrystal.tableaux import InvariantError, NotInImage, Rows
 
 
-def q_canon(shape) -> Rows:
-    """Recording tableau with cells numbered row by row.
-
-    This is a valid standard shifted tableau for every strict shape.
-    """
-    out, k = [], 0
-    for part in shape:
-        out.append(tuple(range(k + 1, k + part + 1)))
-        k += part
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # forward
 
@@ -101,16 +89,6 @@ def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
     if msg is not None:
         raise InvariantError(f"insertion produced an invalid tableau: {msg}")
     return frozen, cell
-
-
-def hm_insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
-    """Public single-letter insertion; the reported cell is 1-based.
-
-    >>> hm_insert((), 3)
-    (((6,),), (1, 1))
-    """
-    out, (r, c) = _insert(rows, letter)
-    return out, (r + 1, c + 1)
 
 
 def hm(word: Sequence[int]) -> tuple[Rows, Rows]:

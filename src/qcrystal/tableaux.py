@@ -244,10 +244,9 @@ def _shape_ok(rows: Rows) -> Optional[str]:
     shape = shape_of(rows)
     if 0 in shape:
         return f"empty row in shape {shape}"
-    try:
-        check_strict(shape)
-    except ValueError as exc:
-        return str(exc)
+    for a, b in zip(shape, shape[1:]):
+        if a <= b:
+            return f"not a strict partition: {shape}"
     return None
 
 

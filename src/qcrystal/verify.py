@@ -279,6 +279,10 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
                             "fact": typeb.fmt_factorization(fact),
                             "detail": "transport disagrees with the rule",
                         })
+    if perm and not checked:
+        bound = f"m = {m}" if m is not None else f"m <= {max_m}"
+        raise ValueError(f"perm {typeb.fmt_perm(tuple(perm))} has no "
+                         f"factorization with {bound}: nothing to check")
     return _report("fact-transport", checked, failures)
 
 

@@ -112,23 +112,3 @@ def f_bar1(w: Word) -> Optional[Word]:
             letters[p] = 2
             return tuple(letters)
     return None
-
-
-def is_yamanouchi(w: Sequence[int], n: Optional[int] = None) -> bool:
-    """True iff every suffix of w has weakly decreasing weight.
-
-    Equivalent to w being annihilated by every even raising operator.
-
-    >>> is_yamanouchi((3, 2, 1, 1, 2, 1))
-    True
-    >>> is_yamanouchi((1, 2))
-    False
-    """
-    if n is None:
-        n = max(w, default=1)
-    counts = [0] * (n + 1)
-    for a in reversed(w):
-        counts[a] += 1
-        if a > 1 and counts[a] > counts[a - 1]:
-            return False
-    return True

@@ -258,3 +258,30 @@ def test_bound_below_one_names_the_option(capsys, argv, option):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{option} must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "equivalence", "--perm=-1,-2,-3", "--m", "1"],
+    ["verify", "--suite", "all", "--n", "1", "--max-size", "1",
+     "--perm=-1,-2,-3", "--m", "1"],
+], ids=["equivalence", "all"])
+def test_verify_that_checks_nothing_fails(capsys, argv):
+    # -1,-2,-3 has no one-factor factorization; this used to exit 0
+    # with "checked": 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: perm -1,-2,-3 has no factorization with m = 1: "
+                   "nothing to check\n")
+
+
+@pytest.mark.parametrize("suite", ["axioms", "bijections", "highlow"])
+@pytest.mark.parametrize("option,value", [("--perm", "2,1"), ("--m", "3")])
+def test_verify_rejects_options_the_suite_ignores(capsys, suite, option,
+                                                  value):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "2",
+                         "--max-size", "2", option, value)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {option} only applies to --suite equivalence "
+                   "or all\n")

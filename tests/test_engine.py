@@ -128,7 +128,7 @@ def test_is_q_highest():
     model = words_model(3)
     assert engine.is_q_highest(model, W("111"))
     # "211" is gl-highest yet e_bar1 still raises it to "111"
-    assert words.is_yamanouchi(W("211"))
+    assert all(words.e_even(i, W("211")) is None for i in (1, 2))
     assert not engine.is_q_highest(model, W("211"))
     assert engine.is_q_highest(model, W("121"))
     assert not engine.is_q_highest(model, W("112"))

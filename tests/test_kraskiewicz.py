@@ -28,7 +28,7 @@ def test_kr_golden():
 def test_kr_small():
     assert kw.kr(W("0")) == (((0,),), ((1,),))
     assert kw.kr(W("")) == ((), ())
-    assert kw.kr_insert((), 2) == (((2,),), (1, 1))
+    assert kw.kr((2,)) == (((2,),), ((1,),))
 
 
 def test_kr_rejects_non_reduced():

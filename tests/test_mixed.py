@@ -46,13 +46,6 @@ def test_text_is_not_a_word():
         kw.pkr("(+0)")
 
 
-def test_hm_insert_public():
-    assert mixed.hm_insert((), 3) == (((6,),), (1, 1))
-    rows, cell = mixed.hm_insert(((2,),), 1)
-    assert rows == tb.parse_primed("1 1")
-    assert cell == (1, 2)
-
-
 def test_hm_weight_and_shape():
     for w in all_words(3, 4):
         p, q = mixed.hm(w)
@@ -116,15 +109,6 @@ def test_count_identity():
         for shape in _strict_partitions(m):
             total += len(tb.enumerate_pt(n, shape)) * len(tb.enumerate_st(shape))
         assert total == n**m
-
-
-def test_q_canon():
-    assert mixed.q_canon(()) == ()
-    q = mixed.q_canon((5, 3, 1))
-    assert q == ((1, 2, 3, 4, 5), (6, 7, 8), (9,))
-    assert tb.validate_st(q) is None
-    for shape in _strict_partitions(6):
-        assert tb.validate_st(mixed.q_canon(shape)) is None
 
 
 def test_hm_inverse_rejects_bad_input():

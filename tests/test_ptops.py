@@ -82,9 +82,30 @@ def test_e_even_pt_inverse_of_f():
                     assert ptops.f_even_pt(i, up) == t
 
 
+def q_canon(shape):
+    """Recording tableau with cells numbered row by row.
+
+    This is a valid standard shifted tableau for every strict shape.
+    """
+    out, k = [], 0
+    for part in shape:
+        out.append(tuple(range(k + 1, k + part + 1)))
+        k += part
+    return tuple(out)
+
+
+def test_q_canon():
+    assert q_canon(()) == ()
+    q = q_canon((5, 3, 1))
+    assert q == ((1, 2, 3, 4, 5), (6, 7, 8), (9,))
+    assert tb.validate_st(q) is None
+    for shape in tb.strict_partitions(6):
+        assert tb.validate_st(q_canon(shape)) is None
+
+
 def transported_e(i, t):
     """The raising operator transported through mixed insertion."""
-    return ptops.transport_op(t, mixed.q_canon(tb.shape_of(t)),
+    return ptops.transport_op(t, q_canon(tb.shape_of(t)),
                               lambda w: words.e_even(i, w))
 
 

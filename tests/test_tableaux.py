@@ -215,6 +215,23 @@ def test_validate_ssdt_matches_reference():
         assert tb.validate_ssdt(rows, n=4) == ref.validate_ssdt(rows, n=4)
 
 
+@pytest.mark.parametrize("shape,msg", [
+    ((2, 2), "not a strict partition: (2, 2)"),
+    ((1, 3), "not a strict partition: (1, 3)"),
+    ((3, 0), "empty row in shape (3, 0)"),
+])
+def test_validators_reject_bad_shapes_like_reference(shape, msg):
+    it = itertools.count(1)
+    st_rows = tuple(tuple(next(it) for _ in range(part)) for part in shape)
+    pt_rows = tuple(tuple(2 * v for v in row) for row in st_rows)
+    ssdt_rows = tuple((1,) * part for part in shape)
+    assert tb.validate_pt(pt_rows) == ref.validate_pt(pt_rows) == msg
+    assert tb.validate_pt(pt_rows, diagonal_unprimed=False) \
+        == ref.validate_pt(pt_rows, diagonal_unprimed=False) == msg
+    assert tb.validate_st(st_rows) == ref.validate_st(st_rows) == msg
+    assert tb.validate_ssdt(ssdt_rows) == ref.validate_ssdt(ssdt_rows) == msg
+
+
 def test_validate_ssdt_golden():
     rows = tb.parse_plain("3 2 2 1 1 / 2 1 1 / 1")
     assert tb.validate_ssdt(rows, n=4) is None

@@ -84,19 +84,6 @@ def test_bracketing_matches_literal_pair_removal():
             assert words.unbracketed(i, w) == literal(i, w), (i, w)
 
 
-def test_yamanouchi_examples():
-    assert words.is_yamanouchi(W("321121"))
-    assert words.is_yamanouchi(W(""))
-    assert not words.is_yamanouchi(W("12"))
-
-
-def test_yamanouchi_iff_killed_by_every_e_even():
-    for m in range(7):
-        for w in all_words(3, m):
-            killed = all(words.e_even(i, w) is None for i in (1, 2))
-            assert words.is_yamanouchi(w, 3) == killed, w
-
-
 def test_odd_operators_mutually_inverse():
     for w in all_words(3, 4):
         up = words.e_bar1(w)
