@@ -148,7 +148,6 @@ def is_q_highest(model: CrystalModel, b: Element) -> bool:
 class CrystalGraph:
     model: CrystalModel
     vertices: list[Element]
-    index: dict[Element, int]
     # keyed by (color, source index); e_edges computed from model.e /
     # model.e_bar independently of f_edges, so mispaired arrows show up
     f_edges: dict[tuple[Color, int], int]
@@ -203,20 +202,21 @@ def component(model: CrystalModel, seed: Element,
         row += (None if model.f_bar is None else visit(model.f_bar(b)),
                 None if model.e_bar is None else visit(model.e_bar(b)))
         arrows.append(tuple(row))
-    vertices = sorted(found, key=model.fmt)
-    index = {b: k for k, b in enumerate(vertices)}
-    to_index = [index[b] for b in found]
+    order = sorted(range(len(found)), key=lambda k: model.fmt(found[k]))
+    to_index = [0] * len(found)
+    for u, k in enumerate(order):
+        to_index[k] = u
     colors = [*range(1, model.n), "b1"]
     f_edges: dict[tuple[Color, int], int] = {}
     e_edges: dict[tuple[Color, int], int] = {}
-    for u, b in enumerate(vertices):
-        row = arrows[ids[b]]
+    for u, k in enumerate(order):
+        row = arrows[k]
         for color, down, up in zip(colors, row[::2], row[1::2]):
             if down is not None:
                 f_edges[(color, u)] = to_index[down]
             if up is not None:
                 e_edges[(color, u)] = to_index[up]
-    return CrystalGraph(model, vertices, index, f_edges, e_edges)
+    return CrystalGraph(model, [found[k] for k in order], f_edges, e_edges)
 
 
 # ---------------------------------------------------------------------------

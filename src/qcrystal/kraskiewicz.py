@@ -6,16 +6,19 @@ smaller replaces (or, on equality, increments), then the result bumps
 the decreasing part symmetrically, and the leftover letter falls to the
 next row.  A letter 0 meeting a row containing the pattern 1 0 1
 passes through unchanged.  The insertion tableau has unimodal rows
-(standard decomposition tableau); the recording tableau is standard.
+(standard decomposition tableau).
 
-The primed variant records whole factors: the boxes created by one
-unimodal factor form a vee, whose vertical arm is primed and whose
-bottom box carries the factor's sign.
+The primed insertion pkr records whole factors of a signed unimodal
+factorization: the boxes created by one factor form a vee, whose
+vertical arm is primed and whose bottom box carries the factor's sign.
+Plain insertion kr is pkr on one-letter factors signed +, whose
+recording tableau is 2Q for a standard tableau Q.
 
-Reverse insertion reconstructs each bump chain by splitting a row into
-its decreasing and increasing parts in every possible position and
-forward-checking the local inverses; every extracted word is finally
-re-inserted and compared.
+pkr has the one letter-by-letter loop and pkr_inverse the one reverse
+search: it reconstructs each bump chain by splitting a row into its
+decreasing and increasing parts in every possible position and
+forward-checking the local inverses; every extracted factorization is
+finally re-inserted and compared.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -49,12 +52,11 @@ def rw_sdt(rows: Rows) -> tuple[int, ...]:
 def validate_sdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
     """First violation of the standard decomposition tableau rules."""
     shape = tb.shape_of(rows)
-    if any(part == 0 for part in shape):
+    if 0 in shape:
         return "empty row"
-    try:
-        tb.check_strict(shape)
-    except ValueError as exc:
-        return str(exc)
+    msg = tb.strictness_violation(shape)
+    if msg is not None:
+        return msg
     for r, row in enumerate(rows):
         if n is not None and any(not 0 <= a < n for a in row):
             return f"row {r + 1} letter out of range 0..{n - 1}"
@@ -137,31 +139,6 @@ def _insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
     return out, cell
 
 
-def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
-    """Insertion and recording tableaux of a reduced word.
-
-    >>> p, q = kr((0,))
-    >>> p, q
-    (((0,),), ((1,),))
-    """
-    if not typeb.is_reduced(word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
-    p: Rows = ()
-    q_work: list[list[int]] = []
-    for step, a in enumerate(word, start=1):
-        p, (r, c) = _insert(p, a)
-        if r == len(q_work):
-            q_work.append([])
-        if len(q_work[r]) != c - r:
-            raise InvariantError("recording cell out of order")
-        q_work[r].append(step)
-    q = tb.freeze(q_work)
-    msg = tb.validate_st(q)
-    if msg is not None:
-        raise InvariantError(f"recording tableau invalid: {msg}")
-    return p, q
-
-
 # ---------------------------------------------------------------------------
 # reverse insertion
 
@@ -231,43 +208,6 @@ def _reverse_steps(rows: Rows, r_end: int, c_end: int) -> list:
 
     rec(r_end - 1, tuple(work), out)
     return solutions
-
-
-def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
-    """The reduced word w with kr(w) = (p, q); NotInImage otherwise."""
-    msg = validate_sdt(p)
-    if msg is not None:
-        raise NotInImage(f"insertion tableau invalid: {msg}")
-    msg = tb.validate_st(q)
-    if msg is not None:
-        raise NotInImage(f"recording tableau invalid: {msg}")
-    if tb.shape_of(p) != tb.shape_of(q):
-        raise NotInImage("shapes differ")
-    order = sorted(
-        ((q[r][c - r], r, c) for r, c in tb.shape_cells(tb.shape_of(q))),
-        reverse=True,
-    )
-    survivors = []
-
-    def rec(rows: Rows, i: int, letters: list):
-        if i == len(order):
-            word = tuple(reversed(letters))
-            try:
-                if kr(word) == (p, q):
-                    survivors.append(word)
-            except ValueError:
-                pass
-            return
-        _, r, c = order[i]
-        for new_rows, letter in _reverse_steps(rows, r, c):
-            rec(new_rows, i + 1, letters + [letter])
-
-    rec(p, 0, [])
-    if not survivors:
-        raise NotInImage("no reduced word inserts to the pair")
-    if len(survivors) != 1:
-        raise InvariantError(f"insertion not injective: {survivors}")
-    return survivors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +353,38 @@ def pkr_inverse(p: Rows, t: Rows, m: Optional[int] = None):
     if len(survivors) != 1:
         raise InvariantError(f"insertion not injective: {survivors}")
     return survivors[0]
+
+
+# ---------------------------------------------------------------------------
+# plain insertion of reduced words
+
+def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
+    """Insertion and recording tableaux of a reduced word.
+
+    This is pkr on one-letter factors signed +: each letter's box is its
+    own vee corner, unprimed, so pkr records the standard tableau Q
+    coded as 2Q.
+
+    >>> p, q = kr((0,))
+    >>> p, q
+    (((0,),), ((1,),))
+    """
+    if not typeb.is_reduced(word):
+        raise ValueError(f"word {tuple(word)} is not reduced")
+    p, t = pkr(tuple((1, (a,)) for a in word))
+    q = tuple(tuple(tb.code_value(v) for v in row) for row in t)
+    msg = tb.validate_st(q)
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
+    return p, q
+
+
+def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
+    """The reduced word w with kr(w) = (p, q); NotInImage otherwise."""
+    # q first: a non-standard q such as 1 1 would code to a valid T
+    # reading as one two-letter factor
+    msg = tb.validate_st(q)
+    if msg is not None:
+        raise NotInImage(f"recording tableau invalid: {msg}")
+    t = tuple(tuple(tb.code(v, False) for v in row) for row in q)
+    return typeb.fact_word(pkr_inverse(p, t, m=sum(map(len, q))))

@@ -32,11 +32,20 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return parts
 
 
+def strictness_violation(shape: Sequence[int]) -> Optional[str]:
+    """The message for parts that do not strictly decrease, or None."""
+    for a, b in zip(shape, shape[1:]):
+        if a <= b:
+            return f"not a strict partition: {shape}"
+    return None
+
+
 def check_strict(shape: Sequence[int]) -> None:
     if any(p <= 0 for p in shape):
         raise ValueError(f"parts must be positive: {shape}")
-    if any(shape[i] <= shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError(f"not a strict partition: {shape}")
+    msg = strictness_violation(shape)
+    if msg is not None:
+        raise ValueError(msg)
 
 
 def shape_of(rows: Rows) -> tuple[int, ...]:
@@ -244,10 +253,7 @@ def _shape_ok(rows: Rows) -> Optional[str]:
     shape = shape_of(rows)
     if 0 in shape:
         return f"empty row in shape {shape}"
-    for a, b in zip(shape, shape[1:]):
-        if a <= b:
-            return f"not a strict partition: {shape}"
-    return None
+    return strictness_violation(shape)
 
 
 def _columns(rows: Rows) -> list[list[int]]:

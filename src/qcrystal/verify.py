@@ -341,10 +341,13 @@ def verify_highlow(n: int = 3, max_size: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 def verify_all(n: int = 3, max_size: int = 5, perm=None, m=None) -> dict:
+    # equivalence first, so a --perm with nothing to check fails at once;
+    # the reports still merge in the documented order
+    equivalence = verify_equivalence(n, max_size, perm=perm, m=m)
     return _merge("all", [
         verify_axioms(n, max_size),
         verify_bijections(n, max_size),
-        verify_equivalence(n, max_size, perm=perm, m=m),
+        equivalence,
         verify_highlow(n, max_size),
     ])
 

@@ -50,7 +50,7 @@ def component(model: CrystalModel, seed: Element,
             c = model.e_bar(b)
             if c is not None:
                 e_edges[("b1", u)] = index[c]
-    return CrystalGraph(model, vertices, index, f_edges, e_edges)
+    return CrystalGraph(model, vertices, f_edges, e_edges)
 
 
 def _neighbors(model: CrystalModel, b: Element):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcrystal import cli
+from qcrystal import cli, verify
 from qcrystal import tableaux as tb
 
 
@@ -269,6 +269,21 @@ def test_verify_that_checks_nothing_fails(capsys, argv):
     # -1,-2,-3 has no one-factor factorization; this used to exit 0
     # with "checked": 0
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: perm -1,-2,-3 has no factorization with m = 1: "
+                   "nothing to check\n")
+
+
+def test_verify_all_rejects_a_bad_perm_before_other_suites(capsys,
+                                                           monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a suite ran before the perm was checked")
+
+    monkeypatch.setattr(verify, "verify_axioms", not_reached)
+    monkeypatch.setattr(verify, "verify_bijections", not_reached)
+    code, out, err = run(capsys, "verify", "--suite", "all",
+                         "--perm=-1,-2,-3", "--m", "1")
     assert code == 2
     assert out == ""
     assert err == ("error: perm -1,-2,-3 has no factorization with m = 1: "

@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_insertion as ref_kr
 import reference_validators as ref
 from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
@@ -100,6 +103,89 @@ def test_kr_inverse_rejects_bad_input():
         kw.kr_inverse(tb.parse_plain("1 1"), tb.parse_plain("1 2"))
     with pytest.raises(kw.NotInImage):
         kw.kr_inverse(tb.parse_plain("0 1"), tb.parse_plain("2 1"))
+
+
+BAD_KR_INVERSE_PAIRS = [
+    ("0 1", "1"),      # shapes differ
+    ("1 1", "1 2"),    # p not unimodal
+    ("0 1", "2 1"),    # q not increasing
+    ("0 1", "1 1"),    # q not standard, though 2q is a valid signed T
+    ("0 1", "2 3"),    # q not standard: entries not 1..2
+    ("1 1", "1 1"),    # p and q both bad
+]
+
+
+def test_kr_matches_reference():
+    # kr is pkr on one-letter factors; the oracle has its own loop and
+    # its own reverse search
+    for w in reduced_words(3, 5) + reduced_words(4, 4):
+        p, q = kw.kr(w)
+        assert (p, q) == ref_kr.kr(w), w
+        assert kw.kr_inverse(p, q) == ref_kr.kr_inverse(p, q) == w
+
+
+@pytest.mark.parametrize("p,q", BAD_KR_INVERSE_PAIRS)
+def test_kr_inverse_rejects_like_reference(p, q):
+    p, q = tb.parse_plain(p), tb.parse_plain(q)
+    with pytest.raises(kw.NotInImage):
+        kw.kr_inverse(p, q)
+    with pytest.raises(kw.NotInImage):
+        ref_kr.kr_inverse(p, q)
+
+
+def test_kr_inverse_rejects_non_standard_q_first():
+    with pytest.raises(kw.NotInImage, match="recording tableau invalid"):
+        kw.kr_inverse(tb.parse_plain("0 1"), tb.parse_plain("1 1"))
+
+
+# ---------------------------------------------------------------------------
+# properties past the exhaustive bounds
+
+PROPERTY_RANK = 5
+PROPERTY_MAX_LEN = 12
+
+
+@st.composite
+def reduced_walk(draw):
+    """A reduced word of rank 5 grown by length-increasing steps."""
+    word: tuple[int, ...] = ()
+    for _ in range(draw(st.integers(6, PROPERTY_MAX_LEN))):
+        word += (draw(st.sampled_from([
+            a for a in range(PROPERTY_RANK)
+            if typeb.is_reduced(word + (a,), PROPERTY_RANK)])),)
+    return word
+
+
+@st.composite
+def signed_cut(draw, m=4):
+    """A prefix of a reduced walk cut into m signed unimodal factors."""
+    rest = draw(reduced_walk())
+    fact = []
+    for _ in range(m):
+        longest = max(k for k in range(len(rest) + 1)
+                      if tb.is_unimodal(rest[:k]))
+        # counted from the longest cut, which Hypothesis then favours
+        k = longest - draw(st.integers(0, longest))
+        sign = draw(st.sampled_from((1, -1))) if k else 0
+        fact.append((sign, rest[:k]))
+        rest = rest[k:]
+    return tuple(fact)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reduced_walk())
+def test_kr_roundtrip_rank5_property(w):
+    p, q = kw.kr(w)
+    assert kw.validate_sdt(p, n=PROPERTY_RANK) is None
+    assert (p, q) == ref_kr.kr(w)
+    assert kw.kr_inverse(p, q) == w
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_cut())
+def test_pkr_roundtrip_rank5_property(fact):
+    p, t = kw.pkr(fact)
+    assert kw.pkr_inverse(p, t, m=4) == fact
 
 
 # ---------------------------------------------------------------------------
