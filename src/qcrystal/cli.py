@@ -72,31 +72,31 @@ def _check_seed(seed, msg, shape) -> None:
                          f"expected {shape}")
 
 
-def _graph_model_and_seed(args):
+def _graph_component(args) -> engine.CrystalGraph:
     if args.model == "words":
         _require(args, ["n", "seed"])
         seed = typeb.parse_word(args.seed)
         words.weight(seed, args.n)  # rejects letters outside 1..n
-        return models.model_words(args.n), seed
+        return engine.component(models.model_words(args.n), seed)
     if args.model == "pt":
         _require(args, ["n", "shape"])
         seed = (tb.parse_primed(args.seed) if args.seed
                 else ptops.highest_pt(args.n, args.shape))
         _check_seed(seed, tb.validate_pt(seed, n=args.n), args.shape)
-        return models.model_pt(args.n), seed
+        return engine.component(models.model_pt(args.n), seed)
     if args.model == "ssdt":
         _require(args, ["n", "shape"])
         seed = (tb.parse_plain(args.seed) if args.seed
                 else models.highest_ssdt(args.n, args.shape))
         _check_seed(seed, tb.validate_ssdt(seed, n=args.n), args.shape)
-        return models.model_ssdt(args.n), seed
+        return engine.component(models.model_ssdt(args.n), seed)
     if args.model == "spt":
         _require(args, ["m", "shape"])
         seed = (tb.parse_primed(args.seed) if args.seed
                 else ptops.highest_pt(args.m, args.shape))
         msg = tb.validate_pt(seed, n=args.m, diagonal_unprimed=False)
         _check_seed(seed, msg, args.shape)
-        return models.model_spt(args.m), seed
+        return engine.component(models.model_spt(args.m), seed)
     _require(args, ["perm", "m"])
     perm = typeb.parse_perm(args.perm)
     seed = (typeb.parse_factorization(args.seed) if args.seed
@@ -108,12 +108,12 @@ def _graph_model_and_seed(args):
             or len(word) != typeb.length(perm)):
         raise ValueError(f"seed word {typeb.fmt_word(word)} is not a reduced "
                          f"word of {typeb.fmt_perm(perm)}")
-    return models.model_fact(args.m), seed
+    return models.fact_component(seed, args.m)
 
 
 def cmd_graph(args) -> int:
-    model, seed = _graph_model_and_seed(args)
-    g = engine.component(model, seed)
+    _at_least_one(args, ["n", "m"])
+    g = _graph_component(args)
     if args.format == "dot":
         sys.stdout.write(engine.to_dot(g))
     else:

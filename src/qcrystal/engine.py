@@ -202,6 +202,16 @@ def component(model: CrystalModel, seed: Element,
         row += (None if model.f_bar is None else visit(model.f_bar(b)),
                 None if model.e_bar is None else visit(model.e_bar(b)))
         arrows.append(tuple(row))
+    return _sorted_graph(model, found, arrows)
+
+
+def _sorted_graph(model: CrystalModel, found: list,
+                  arrows: list) -> CrystalGraph:
+    """The graph on found, sorted by model.fmt.
+
+    arrows[k] holds the f and then e target of each color of found[k]
+    (the odd pair last) as indices into found, or None.
+    """
     order = sorted(range(len(found)), key=lambda k: model.fmt(found[k]))
     to_index = [0] * len(found)
     for u, k in enumerate(order):

@@ -8,6 +8,11 @@ tableau does).  The odd operators have a direct description on the first
 two factors, implemented here; ``e_bar1_transport``/``f_bar1_transport``
 compute the same maps the slow way for cross-checking.
 
+These are the per-element operators.  Whole components are closed on the
+recording tableau instead (``models.fact_component``): one insertion per
+component, one inverse insertion per vertex, and the odd pair here checked
+against transport on every vertex.
+
 All operators take a factorization tuple, check it with
 ``typeb.check_factorization`` and answer with a tuple; the text form
 "(+01)(-2)" is parsed and printed only by ``typeb``.  ``None`` means the

@@ -4,10 +4,13 @@ Words carry the primitive operators; decomposition tableaux inherit them
 through their reading word; primed tableaux have native operators; the
 signed variants and factorizations wrap those in sign bookkeeping and
 insertion transport.  Each builder fixes n (the number of weight
-coordinates) and a canonical text form for vertices.
+coordinates) and a canonical text form for vertices.  fact_component
+closes a factorization component on its recording tableau.
 """
 
+from . import engine
 from . import factorization as fc
+from . import kraskiewicz as kw
 from . import ptops
 from . import tableaux as tb
 from . import typeb
@@ -108,6 +111,37 @@ def model_fact(m: int) -> CrystalModel:
     )
 
 
+def fact_component(seed, m: int) -> engine.CrystalGraph:
+    """The component of seed in model_fact(m), closed on recording tableaux.
+
+    The even operators are transported through the primed insertion, which
+    keeps the insertion tableau P fixed, so the component is the signed
+    primed tableau component of the seed's recording tableau, mapped back
+    by one pkr_inverse per vertex.  The odd pair is recomputed by factor
+    surgery on every vertex and must land where transport does, else
+    InvariantError.  The graph equals engine.component(model_fact(m),
+    seed), vertex and edge order included, and the vertex cap is the same.
+    """
+    if len(seed) != m:
+        raise ValueError(f"seed has {len(seed)} factors, expected {m}")
+    p, t = kw.pkr(seed)
+    g = engine.component(model_spt(m), t)
+    facts = [kw.pkr_inverse(p, v, m=m) for v in g.vertices]
+    colors = [*range(1, m), "b1"]
+    arrows = [tuple(edges.get((c, k)) for c in colors
+                    for edges in (g.f_edges, g.e_edges))
+              for k in range(len(facts))]
+    model = model_fact(m)
+    if model.f_bar is not None:
+        for x, row in zip(facts, arrows):
+            moved = tuple(None if k is None else facts[k] for k in row[-2:])
+            if (model.f_bar(x), model.e_bar(x)) != moved:
+                raise tb.InvariantError(
+                    "odd operators disagree with transport at "
+                    + typeb.fmt_factorization(x))
+    return engine._sorted_graph(model, facts, arrows)
+
+
 def seed_factorization(perm: tuple, m: int):
     """A canonical element of U_m: the first reduced word greedily cut
     into maximal unimodal factors, all signed +, padded with empties."""
@@ -122,7 +156,8 @@ def seed_factorization(perm: tuple, m: int):
             factors = [(1, blk) for blk in blocks]
             factors += [(0, ())] * (m - len(blocks))
             return typeb.check_factorization(tuple(factors))
-    raise ValueError(f"no factorization of {perm} into {m} unimodal factors")
+    raise ValueError(f"no factorization of {typeb.fmt_perm(perm)} into {m} "
+                     "unimodal factors")
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,18 @@ def test_words_above_nine_rejected_quickly(capsys, argv):
     (["enumerate", "--what", "ssdt", "--n", "0", "--shape", "1"], "--n"),
     (["enumerate", "--what", "factorizations", "--perm", "3,2,-1",
       "--m", "0"], "--m"),
+    (["graph", "--model", "words", "--n", "0", "--seed", "1"], "--n"),
+    (["graph", "--model", "pt", "--n", "0", "--shape", "1"], "--n"),
+    (["graph", "--model", "ssdt", "--n", "-1", "--shape", "1"], "--n"),
+    (["graph", "--model", "spt", "--m", "0", "--shape", "1"], "--m"),
+    (["graph", "--model", "fact", "--perm", "1,2", "--m", "0"], "--m"),
 ], ids=["verify-m0", "enumerate-pt-n0", "enumerate-ssdt-n0",
-        "enumerate-fact-m0"])
+        "enumerate-fact-m0", "graph-words-n0", "graph-pt-n0",
+        "graph-ssdt-n-neg", "graph-spt-m0", "graph-fact-m0"])
 def test_bound_below_one_names_the_option(capsys, argv, option):
     # each of these used to exit 0 (or 2 with an unrelated message):
-    # verify --m 0 checked m = 1..3, enumerate --n 0 printed "count 0"
+    # verify --m 0 checked m = 1..3, enumerate --n 0 printed "count 0",
+    # graph --model fact --m 0 printed the one vertex ""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,0 +1,115 @@
+"""Factorization components closed on the recording tableau.
+
+``models.fact_component`` closes the signed primed tableau component of
+the seed's recording tableau and maps each vertex back through
+``pkr_inverse``; ``engine.component(model_fact(m), seed)``, which applies
+the factorization operators themselves, is its oracle.
+"""
+
+import pytest
+
+from qcrystal import cli, engine, models, typeb
+from qcrystal import factorization as fc
+from qcrystal import tableaux as tb
+
+GRAPH_FACT_ARGV = ["graph", "--model", "fact", "--perm", "2,-3,1", "--m", "4",
+                   "--format", "json"]
+
+
+def rank3_components():
+    """Seed and m of every rank-3 component with m <= 2, or m = 3 and
+    length <= 4."""
+    out = []
+    for perm in typeb.enumerate_perms(3):
+        for m in (1, 2, 3):
+            if m == 3 and typeb.length(perm) > 4:
+                continue
+            seen = set()
+            for b in typeb.enumerate_factorizations(perm, m):
+                if b not in seen:
+                    g = models.fact_component(b, m)
+                    seen.update(g.vertices)
+                    out.append((b, m, g))
+    return out
+
+
+@pytest.fixture(scope="module")
+def components():
+    out = rank3_components()
+    seed = models.seed_factorization((2, -3, 1), 4)
+    return out + [(seed, 4, models.fact_component(seed, 4))]
+
+
+def test_components_match_oracle(components):
+    assert len(components) == 194 + 79 + 1
+    assert len(components[-1][2]) == 204
+    for seed, m, g in components:
+        want = engine.component(models.model_fact(m), seed)
+        assert g.model.name == want.model.name
+        assert g.vertices == want.vertices
+        assert list(g.f_edges.items()) == list(want.f_edges.items())
+        assert list(g.e_edges.items()) == list(want.e_edges.items())
+
+
+def test_components_pass_the_q_axioms(components):
+    # the m = 4 component has color 3, so q5 is exercised
+    for _, m, g in components:
+        check = engine.check_q_axioms if m > 1 else engine.check_gl_axioms
+        report = check(g)
+        assert report["failures"] == []
+        assert report["checked"] == len(g)
+
+
+def test_identity_component_is_one_vertex():
+    g = models.fact_component(((0, ()), (0, ())), 2)
+    assert g.vertices == [((0, ()), (0, ()))]
+    assert g.f_edges == g.e_edges == {}
+
+
+def test_seed_with_wrong_factor_count_rejected():
+    with pytest.raises(ValueError, match="seed has 2 factors, expected 3"):
+        models.fact_component(((1, (1,)), (0, ())), 3)
+
+
+def plant_disagreeing_surgery(monkeypatch, name):
+    # the factor surgery forgets every arrow out of a nonempty factor one
+    real = getattr(fc, name)
+
+    def planted(fact):
+        out = real(fact)
+        return None if out is not None and fact[0][1] else out
+
+    monkeypatch.setattr(fc, name, planted)
+
+
+@pytest.mark.parametrize("name", ["f_bar1_fact", "e_bar1_fact"])
+def test_odd_surgery_disagreeing_with_transport_raises(monkeypatch, name):
+    plant_disagreeing_surgery(monkeypatch, name)
+    seed = models.seed_factorization((2, -3, 1), 4)
+    with pytest.raises(tb.InvariantError, match="odd operators disagree"):
+        models.fact_component(seed, 4)
+
+
+@pytest.mark.parametrize("name", ["f_bar1_fact", "e_bar1_fact"])
+def test_odd_surgery_disagreeing_with_transport_exits_4(capsys, monkeypatch,
+                                                        name):
+    plant_disagreeing_surgery(monkeypatch, name)
+    code = cli.main(GRAPH_FACT_ARGV)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: odd operators disagree with "
+                          "transport at (")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap,code", [("204", 0), ("203", 3)])
+def test_cap_on_the_benchmark_component(capsys, monkeypatch, cap, code):
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", cap)
+    assert cli.main(GRAPH_FACT_ARGV) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err == "error: component exceeded the vertex cap 203\n"
+    else:
+        assert err == ""

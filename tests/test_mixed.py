@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrystal import kraskiewicz as kw
 from qcrystal import mixed, words
@@ -66,6 +68,14 @@ def test_hm_roundtrip(n, m):
     for w in all_words(n, m):
         p, q = mixed.hm(w)
         assert mixed.hm_inverse(p, q) == w
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=14))
+def test_hm_roundtrip_property(w):
+    # past the exhaustive bounds above: length <= 14 over 1..6
+    w = tuple(w)
+    assert mixed.hm_inverse(*mixed.hm(w)) == w
 
 
 def test_hm_inverse_golden():

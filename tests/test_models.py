@@ -93,8 +93,10 @@ def test_seed_factorization():
     assert typeb.fmt_factorization(seed1) == "(+1)"
     seed0 = models.seed_factorization((-1,), 1)
     assert typeb.fmt_factorization(seed0) == "(+0)"
-    with pytest.raises(ValueError):
-        models.seed_factorization((-1, -2), 1)  # needs two unimodal factors
+    # needs two unimodal factors; the perm is printed as on the command line
+    with pytest.raises(ValueError, match="^no factorization of -1,-2 into "
+                                         "1 unimodal factors$"):
+        models.seed_factorization((-1, -2), 1)
 
 
 def test_model_fact_agrees_with_spt_counts():
