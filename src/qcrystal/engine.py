@@ -270,6 +270,24 @@ def _fail(failures: list, graph: CrystalGraph, condition: str,
     )
 
 
+def _graph_strings(graph: CrystalGraph, colors) -> tuple[dict, dict]:
+    """eps and phi of the given colors, read off the graph's arrows.
+
+    Both map (color, vertex index) to the length of the e- and f-string
+    there; a pair whose string loops is left out, for gl1 to report.
+    """
+    eps_g: dict[tuple[int, int], int] = {}
+    phi_g: dict[tuple[int, int], int] = {}
+    for u in range(len(graph.vertices)):
+        for i in colors:
+            ke = _graph_string(graph, graph.e_edges, i, u)
+            kf = _graph_string(graph, graph.f_edges, i, u)
+            if ke is not None and kf is not None:
+                eps_g[(i, u)] = ke
+                phi_g[(i, u)] = kf
+    return eps_g, phi_g
+
+
 def check_gl_axioms(graph: CrystalGraph) -> dict:
     """Check the gl(n) crystal conditions on every vertex of the graph."""
     model = graph.model
@@ -277,17 +295,13 @@ def check_gl_axioms(graph: CrystalGraph) -> dict:
     fail = partial(_fail, failures, graph)
 
     even = [i for i in graph.colors if isinstance(i, int)]
-    eps_g: dict[tuple[int, int], int] = {}
-    phi_g: dict[tuple[int, int], int] = {}
+    eps_g, phi_g = _graph_strings(graph, even)
     for u in range(len(graph.vertices)):
         for i in even:
-            ke = _graph_string(graph, graph.e_edges, i, u)
-            kf = _graph_string(graph, graph.f_edges, i, u)
-            if ke is None or kf is None:
+            if (i, u) not in eps_g:
                 fail("gl1", i, u, "operator chain loops")
                 continue
-            eps_g[(i, u)] = ke
-            phi_g[(i, u)] = kf
+            ke, kf = eps_g[(i, u)], phi_g[(i, u)]
             p = pairing(model, i, graph.vertices[u])
             if kf != ke + p:
                 fail("gl1", i, u, f"phi={kf}, eps={ke}, pairing={p}")
@@ -384,6 +398,7 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
         return edges2.get((c2, v))
 
     odd_pairs = [(graph.e_edges, "b1"), (graph.f_edges, "b1")]
+    eps_g, phi_g = _graph_strings(graph, range(3, model.n))
     for i in range(3, model.n):
         even_pairs = [(graph.e_edges, i), (graph.f_edges, i)]
         for odd in odd_pairs:
@@ -401,12 +416,11 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
                             f"{kind}_bar1 and {ekind}_{i} do not commute",
                         )
         for (c, u), v in sorted(graph.e_edges.items(), key=_edge_key):
-            if c != "b1":
+            if c != "b1" or (i, u) not in eps_g or (i, v) not in eps_g:
                 continue
-            bu, bv = graph.vertices[u], graph.vertices[v]
-            if eps(model, i, bu) != eps(model, i, bv):
+            if eps_g[(i, u)] != eps_g[(i, v)]:
                 fail("q5ii", i, u, f"eps_{i} changes along e_bar")
-            if phi(model, i, bu) != phi(model, i, bv):
+            if phi_g[(i, u)] != phi_g[(i, v)]:
                 fail("q5ii", i, u, f"phi_{i} changes along e_bar")
     return {
         "suite": "q-axioms",
@@ -477,13 +491,11 @@ def _dot_quote(s: str) -> str:
 def to_dot(graph: CrystalGraph) -> str:
     """DOT text with one arrow per lowering operator, labeled by color."""
     model = graph.model
+    names = [_dot_quote(model.fmt(b)) for b in graph.vertices]
     lines = [f"digraph {model.name} {{", "  rankdir=TB;"]
-    for b in graph.vertices:
-        lines.append(f"  {_dot_quote(model.fmt(b))};")
+    lines += [f"  {name};" for name in names]
     for (color, u), v in sorted(graph.f_edges.items(), key=_edge_key):
-        src = _dot_quote(model.fmt(graph.vertices[u]))
-        dst = _dot_quote(model.fmt(graph.vertices[v]))
-        lines.append(f"  {src} -> {dst} [label=\"{color}\"];")
+        lines.append(f"  {names[u]} -> {names[v]} [label=\"{color}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -15,10 +15,13 @@ Plain insertion kr is pkr on one-letter factors signed +, whose
 recording tableau is 2Q for a standard tableau Q.
 
 pkr has the one letter-by-letter loop and pkr_inverse the one reverse
-search: it reconstructs each bump chain by splitting a row into its
-decreasing and increasing parts in every possible position and
-forward-checking the local inverses; every extracted factorization is
-finally re-inserted and compared.
+search: it reconstructs each bump chain by splitting a row into a
+strictly decreasing and a strictly increasing part and forward-checking
+the local inverses; every extracted factorization is finally re-inserted
+and compared.  The splits run from the start of the row's longest
+strictly increasing suffix to the end of its longest strictly decreasing
+prefix, so a unimodal row has one or two (the valley letter goes either
+way) and any other row none.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -147,11 +150,17 @@ def _row_candidates(row: tuple[int, ...], out: int):
     cands = set()
     if out == 0 and _has_101(row):
         cands.add((row, 0))
-    for k in range(1, len(row) + 1):
+    # the splits k with row[:k] strictly decreasing and row[k:] strictly
+    # increasing
+    m = len(row)
+    first = m - 1
+    while first > 0 and row[first - 1] < row[first]:
+        first -= 1
+    last = 1
+    while last < m and row[last] < row[last - 1]:
+        last += 1
+    for k in range(max(first, 1), min(last, m) + 1):
         dstar, istar = row[:k], row[k:]
-        if not (tb.strictly_increasing(dstar[::-1])
-                and tb.strictly_increasing(istar)):
-            continue
         dphase = []
         bigger = [x for x in dstar if x > out]
         if bigger:
@@ -217,24 +226,28 @@ def vee_bottom_cells(cells) -> Optional[int]:
     """1-based index of the corner of a vee of cells, or None.
 
     The rows must rise strictly up to the bottom cell and then fall
-    weakly; the columns fall weakly and then rise strictly.
+    weakly; the columns fall weakly and then rise strictly.  So the
+    corner may be any index from the start of the longest suffix that
+    obeys the second half to the end of the longest prefix that obeys the
+    first half; more than one candidate is an InvariantError.
     """
-    xs = [r for r, _ in cells]
-    ys = [c for _, c in cells]
-    valid = []
-    for k in range(1, len(cells) + 1):
-        if (
-            all(xs[t] < xs[t + 1] for t in range(k - 1))
-            and all(xs[t] >= xs[t + 1] for t in range(k - 1, len(xs) - 1))
-            and all(ys[t] >= ys[t + 1] for t in range(k - 1))
-            and all(ys[t] < ys[t + 1] for t in range(k - 1, len(ys) - 1))
-        ):
-            valid.append(k)
-    if not valid:
+    m = len(cells)
+    if not m:
         return None
-    if len(valid) != 1:
-        raise InvariantError(f"ambiguous vee corner: {valid}")
-    return valid[0]
+    hi = 0
+    while (hi + 1 < m and cells[hi][0] < cells[hi + 1][0]
+           and cells[hi][1] >= cells[hi + 1][1]):
+        hi += 1
+    lo = m - 1
+    while (lo > 0 and cells[lo - 1][0] >= cells[lo][0]
+           and cells[lo - 1][1] < cells[lo][1]):
+        lo -= 1
+    if lo > hi:
+        return None
+    if lo != hi:
+        raise InvariantError(
+            f"ambiguous vee corner: {list(range(lo + 1, hi + 2))}")
+    return lo + 1
 
 
 def vee_bottom(q: Rows, i: int, j: int) -> Optional[int]:

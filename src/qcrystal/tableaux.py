@@ -15,6 +15,7 @@ coordinates in messages and public insertion results are 1-based.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rows = tuple[tuple[int, ...], ...]
@@ -49,7 +50,7 @@ def check_strict(shape: Sequence[int]) -> None:
 
 
 def shape_of(rows: Rows) -> tuple[int, ...]:
-    return tuple(len(r) for r in rows)
+    return tuple(map(len, rows))
 
 
 def strict_partitions(max_total: int) -> list[tuple[int, ...]]:
@@ -155,10 +156,6 @@ def parse_plain(text: str) -> Rows:
 # ---------------------------------------------------------------------------
 # hook and unimodal words
 
-def strictly_increasing(w: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(w, w[1:]))
-
-
 def is_hook(w: Sequence[int]) -> bool:
     """Weakly decreasing then strictly increasing; empty words rejected.
 
@@ -197,13 +194,13 @@ def is_unimodal(w: Sequence[int]) -> bool:
     >>> is_unimodal((1, 1))
     False
     """
-    if not w:
-        return True
-    dec, inc = unimodal_split(w)
-    # the junction must rise strictly: dec owns the unique minimum
-    if inc and inc[0] <= dec[-1]:
-        return False
-    return strictly_increasing(inc)
+    m = len(w)
+    k = 1
+    while k < m and w[k] < w[k - 1]:
+        k += 1
+    while k < m and w[k] > w[k - 1]:
+        k += 1
+    return k >= m
 
 
 def longest_hook_subword_len(w: Sequence[int]) -> int:
@@ -217,32 +214,37 @@ def longest_unimodal_subword_len(w: Sequence[int]) -> int:
 
 
 def _longest_vee_len(w: Sequence[int], strict_dec: bool) -> int:
-    # dec[p]: longest (weakly/strictly) decreasing subword ending at p;
-    # inc[p]: longest strictly increasing subword starting at p.  The best
-    # vee with its valley at p has length dec[p] + inc[p] - 1, because
-    # inc[p] is already 1 plus the longest strictly increasing
-    # continuation above w[p].  Letters are ints, so "w[q] >= w[p]" is
-    # "w[q] > w[p] - 1".
-    m = len(w)
-    dec = [1] * m
-    for p in range(m):
-        lo = w[p] if strict_dec else w[p] - 1
-        d = 1
-        for q in range(p):
-            if w[q] > lo and dec[q] >= d:
-                d = dec[q] + 1
-        dec[p] = d
-    inc = [1] * m
+    # The best vee with its valley at p joins the longest (weakly or
+    # strictly) decreasing subword ending at p to the longest strictly
+    # increasing one starting there, sharing w[p].  Both are patience
+    # sorts on the negated letters, where decreasing becomes increasing:
+    # tails[k] is the least last letter of a run of k + 1 letters so far,
+    # and a letter x extends the longest run whose tail is below x
+    # (bisect_left, strict runs) or at most x (bisect_right, weak ones).
+    # The second pass reads w right to left, where a strictly increasing
+    # run starting at p is a strictly decreasing one ending at p.  dec[p]
+    # and k count the letters of each run beyond w[p].
+    cut = bisect_left if strict_dec else bisect_right
+    tails: list[int] = []
+    dec = []
+    for a in w:
+        k = cut(tails, -a)
+        if k == len(tails):
+            tails.append(-a)
+        else:
+            tails[k] = -a
+        dec.append(k)
+    tails = []
     best = 0
-    for p in range(m - 1, -1, -1):
-        wp = w[p]
-        k = 1
-        for q in range(p + 1, m):
-            if w[q] > wp and inc[q] >= k:
-                k = inc[q] + 1
-        inc[p] = k
-        if dec[p] + k - 1 > best:
-            best = dec[p] + k - 1
+    for p in range(len(w) - 1, -1, -1):
+        a = w[p]
+        k = bisect_left(tails, -a)
+        if k == len(tails):
+            tails.append(-a)
+        else:
+            tails[k] = -a
+        if dec[p] + k + 1 > best:
+            best = dec[p] + k + 1
     return best
 
 

@@ -30,6 +30,9 @@ from qcrystal.tableaux import is_unimodal
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse digit text "0121" into the letters (0, 1, 2, 1)."""
+    for ch in text:
+        if not ch.isdecimal():
+            raise ValueError(f"not a digit {ch!r} in word {text!r}")
     return tuple(int(ch) for ch in text)
 
 
@@ -53,7 +56,14 @@ def check_perm(perm: Sequence[int]) -> Perm:
 
 def parse_perm(text: str) -> Perm:
     """Parse "3,-2,4,-1" into (3, -2, 4, -1)."""
-    return check_perm(tuple(int(tok) for tok in text.split(",")))
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"not an integer {tok!r} in permutation {text!r}") from None
+    return check_perm(tuple(values))
 
 
 def fmt_perm(perm: Perm) -> str:
@@ -96,7 +106,32 @@ def length(perm: Perm) -> int:
 
 
 def is_reduced(word: Sequence[int], n: Optional[int] = None) -> bool:
-    return len(word) == length(apply_word(word, n))
+    """Whether length(apply_word(word, n)) is len(word).
+
+    Each letter changes the length by exactly 1, so the word is reduced
+    iff each letter is an ascent of the product before it: s_0 with
+    w(1) > 0, or s_i with w(i) < w(i+1).  One scan over a running
+    permutation decides that.  The letters are range-checked first, so a
+    bad letter raises apply_gen's error even after a descent.
+    """
+    if n is None:
+        n = max(word, default=0) + 1
+    n = max(n, 0)  # the rank of identity(n)
+    if word and not (0 <= min(word) and max(word) < n):
+        bad = next(i for i in word if not 0 <= i < n)
+        raise ValueError(f"generator {bad} out of range for rank {n}")
+    perm = list(range(1, n + 1))
+    for i in word:
+        if i:
+            a, b = perm[i - 1], perm[i]
+            if a > b:
+                return False
+            perm[i - 1], perm[i] = b, a
+        elif perm[0] < 0:
+            return False
+        else:
+            perm[0] = -perm[0]
+    return True
 
 
 def right_descents(perm: Perm) -> list[int]:

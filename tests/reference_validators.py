@@ -1,11 +1,12 @@
 """Reference versions of the tableau validators and subword kernels.
 
 These are straightforward implementations kept as oracles for the faster
-kernels in ``qcrystal.tableaux`` and ``qcrystal.kraskiewicz``: the
-three-loop longest hook/unimodal subword, hooks split into two slices,
-and columns probed cell by cell through ``get``.  Each validator must
-return exactly what its library counterpart returns: None, or the same
-first-violation message.
+kernels in ``qcrystal.tableaux``, ``qcrystal.typeb`` and
+``qcrystal.kraskiewicz``: the three-loop longest hook/unimodal subword,
+hooks and unimodal words split into two slices, reducedness as a length
+count, and columns probed cell by cell through ``get``.  Each validator
+must return exactly what its library counterpart returns: None, or the
+same first-violation message.
 """
 
 from typing import Optional, Sequence
@@ -22,6 +23,10 @@ def get(rows, r: int, c: int):
     return None
 
 
+def strictly_increasing(w: Sequence[int]) -> bool:
+    return all(a < b for a, b in zip(w, w[1:]))
+
+
 def hook_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split off the maximal weakly decreasing prefix."""
     w = tuple(w)
@@ -35,7 +40,22 @@ def hook_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def is_hook(w: Sequence[int]) -> bool:
     dec, inc = hook_split(w)
-    return tb.strictly_increasing(inc)
+    return strictly_increasing(inc)
+
+
+def is_unimodal(w: Sequence[int]) -> bool:
+    if not w:
+        return True
+    dec, inc = tb.unimodal_split(w)
+    # the junction must rise strictly: dec owns the unique minimum
+    if inc and inc[0] <= dec[-1]:
+        return False
+    return strictly_increasing(inc)
+
+
+def is_reduced(word: Sequence[int], n: Optional[int] = None) -> bool:
+    """The word's length equals the Coxeter length of its product."""
+    return len(word) == typeb.length(typeb.apply_word(word, n))
 
 
 def longest_vee_len(w: Sequence[int], strict_dec: bool) -> int:
@@ -158,7 +178,7 @@ def validate_sdt(rows, n: Optional[int] = None) -> Optional[str]:
     for r, row in enumerate(rows):
         if n is not None and any(not 0 <= a < n for a in row):
             return f"row {r + 1} letter out of range 0..{n - 1}"
-        if not tb.is_unimodal(row):
+        if not is_unimodal(row):
             return f"row {r + 1} is not unimodal"
     for r in range(len(rows) - 1):
         cat = rows[r + 1] + rows[r]
@@ -167,7 +187,7 @@ def validate_sdt(rows, n: Optional[int] = None) -> Optional[str]:
                 f"row {r + 1} is not a maximal unimodal subword in rows "
                 f"{r + 2},{r + 1}"
             )
-    if not typeb.is_reduced(rw_sdt(rows)):
+    if not is_reduced(rw_sdt(rows)):
         return "reading word is not reduced"
     return None
 

@@ -227,6 +227,20 @@ def test_bad_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["insert", "--algo", "kr", "0a"], "not a digit 'a' in word '0a'"),
+    (["enumerate", "--what", "reduced", "--perm", "1,,2"],
+     "not an integer '' in permutation '1,,2'"),
+    (["enumerate", "--what", "reduced", "--perm", ""],
+     "not an integer '' in permutation ''"),
+], ids=["word-letter", "perm-empty-token", "perm-empty"])
+def test_bad_text_names_the_token(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "--model", "words", "--n", "10", "--seed", "1"],
     ["verify", "--suite", "axioms", "--n", "10", "--max-size", "1"],

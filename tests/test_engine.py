@@ -159,6 +159,60 @@ def test_tampered_graph_is_detected():
     assert any(f["condition"] == "gl4" for f in report["failures"])
 
 
+def _q5ii_through_the_model(g):
+    """q5ii with eps/phi computed by the model's operators, not the graph."""
+    model, out = g.model, []
+    for i in range(3, model.n):
+        for (c, u), v in sorted(g.e_edges.items(), key=engine._edge_key):
+            if c != "b1":
+                continue
+            bu, bv = g.vertices[u], g.vertices[v]
+            for name, string in (("eps", engine.eps), ("phi", engine.phi)):
+                if string(model, i, bu) != string(model, i, bv):
+                    out.append({"condition": "q5ii", "color": i,
+                                "vertex": model.fmt(bu),
+                                "detail": f"{name}_{i} changes along e_bar"})
+    return out
+
+
+def _failures(report, condition):
+    return [f for f in report["failures"] if f["condition"] == condition]
+
+
+def test_q5ii_planted_e_bar_changes_the_3_string():
+    model = words_model(4)
+    g = engine.component(model, W("11"))
+    u = g.vertices.index(W("23"))
+    assert model.fmt(g.vertices[g.e_edges[("b1", u)]]) == "13"
+    # eps_3/phi_3 are 0/1 at 23 and 1/0 at 14
+    g.e_edges[("b1", u)] = g.vertices.index(W("14"))
+    report = engine.check_q_axioms(g)
+    assert _failures(report, "q5ii") == [
+        {"condition": "q5ii", "color": 3, "vertex": "23",
+         "detail": "eps_3 changes along e_bar"},
+        {"condition": "q5ii", "color": 3, "vertex": "23",
+         "detail": "phi_3 changes along e_bar"},
+    ] == _q5ii_through_the_model(g)
+    assert _failures(report, "q3") and _failures(report, "q4")
+
+
+def test_q5i_missing_odd_arrow_breaks_commutation():
+    model = words_model(4)
+    g = engine.component(model, W("11"))
+    u, v = g.vertices.index(W("24")), g.vertices.index(W("14"))
+    # the square 24 -e_3-> 23 -e_bar-> 13 loses its side 24 -e_bar-> 14,
+    # so each of its four corners sees a pair that does not commute
+    del g.e_edges[("b1", u)], g.f_edges[("b1", v)]
+    report = engine.check_q_axioms(g)
+    assert report["failures"] == [
+        {"condition": "q5i", "color": 3, "vertex": vertex,
+         "detail": f"{odd}_bar1 and {even}_3 do not commute"}
+        for vertex, odd, even in (("24", "e", "e"), ("23", "e", "f"),
+                                  ("14", "f", "e"), ("13", "f", "f"))
+    ]
+    assert _q5ii_through_the_model(g) == []
+
+
 def test_broken_weight_model_fails_axioms():
     base = words_model(2)
     broken = engine.CrystalModel(

@@ -189,6 +189,77 @@ def test_pkr_roundtrip_rank5_property(fact):
 
 
 # ---------------------------------------------------------------------------
+# reverse-step and vee kernels against their plain forms
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_row_candidates_match_reference_exhaustively():
+    for m in range(1, 6):
+        for row in itertools.product(range(5), repeat=m):
+            for out in range(6):
+                assert (kw._row_candidates(row, out)
+                        == ref_kr.row_candidates(row, out)), (row, out)
+
+
+def test_vee_bottom_cells_match_reference_exhaustively():
+    grid = [(r, c) for r in range(3) for c in range(3)]
+    for m in range(5):
+        for cells in itertools.product(grid, repeat=m):
+            assert (_outcome(kw.vee_bottom_cells, cells)
+                    == _outcome(ref_kr.vee_bottom_cells, cells)), cells
+
+
+@st.composite
+def unimodal_rows(draw):
+    """A strictly decreasing then strictly increasing row of length <= 10."""
+    dec = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=6)),
+                 reverse=True)
+    inc = sorted(draw(st.sets(st.integers(dec[-1] + 1, 12),
+                              max_size=10 - len(dec))))
+    return tuple(dec + inc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(unimodal_rows(),
+                 st.lists(st.integers(0, 12), min_size=1, max_size=10)
+                 .map(tuple)),
+       st.integers(0, 13))
+def test_row_candidates_match_reference_property(row, out):
+    assert kw._row_candidates(row, out) == ref_kr.row_candidates(row, out)
+
+
+@st.composite
+def vee_like_cells(draw):
+    """Up to 10 cells: an arm going down and left, then one going up and
+    right; a step that breaks this rule is drawn about a fifth of the time."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(4, 8))
+    cells = [(r, c)]
+    down = st.tuples(st.sampled_from((1, 1, 2, 1, 0)),
+                     st.sampled_from((0, -1, -2, 0, 1)))
+    up = st.tuples(st.sampled_from((0, -1, -2, 0, 1)),
+                   st.sampled_from((1, 1, 2, 1, 0)))
+    for dr, dc in (draw(st.lists(down, max_size=4))
+                   + draw(st.lists(up, max_size=5))):
+        r, c = r + dr, c + dc
+        cells.append((r, c))
+    return cells
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vee_like_cells())
+def test_vee_bottom_cells_match_reference_property(cells):
+    assert (_outcome(kw.vee_bottom_cells, cells)
+            == _outcome(ref_kr.vee_bottom_cells, cells))
+
+
+# ---------------------------------------------------------------------------
 # vees
 
 

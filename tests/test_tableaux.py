@@ -47,6 +47,24 @@ def test_is_unimodal():
     assert not tb.is_unimodal((2, 0, 1, 1))
 
 
+def _words(letters, max_len):
+    for m in range(max_len + 1):
+        yield from itertools.product(letters, repeat=m)
+
+
+def test_is_unimodal_matches_reference_exhaustively():
+    for w in _words(range(5), 7):
+        assert tb.is_unimodal(w) == ref.is_unimodal(w), w
+
+
+def test_vee_kernel_matches_reference_exhaustively():
+    # both modes, with repeated letters so strict and weak runs differ
+    for w in _words(range(4), 6):
+        for strict_dec in (True, False):
+            assert (tb._longest_vee_len(w, strict_dec)
+                    == ref.longest_vee_len(w, strict_dec)), (w, strict_dec)
+
+
 def test_longest_hook_subword_len_example():
     assert tb.longest_hook_subword_len((2, 3, 2, 2)) == 3
 
@@ -79,6 +97,7 @@ def test_subword_kernels_match_reference(w):
     unimodal = tb.longest_unimodal_subword_len(w)
     assert hook == ref.longest_vee_len(w, strict_dec=False)
     assert unimodal == ref.longest_vee_len(w, strict_dec=True)
+    assert tb.is_unimodal(w) == ref.is_unimodal(w)
     if w:
         assert tb.is_hook(w) == ref.is_hook(w)
     if len(w) <= 10:

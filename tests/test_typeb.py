@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_validators as ref
 from qcrystal import typeb
 from qcrystal.typeb import parse_word as W
 
@@ -65,6 +68,56 @@ def test_is_reduced():
     assert typeb.is_reduced(W("0121"))
 
 
+def _outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_is_reduced_matches_reference_exhaustively():
+    # letters -1..4 against every rank 1..5 and the default rank, so the
+    # range errors come first even after a descent, as apply_word raises
+    for m in range(6):
+        for w in itertools.product(range(-1, 5), repeat=m):
+            for n in (None, 1, 2, 3, 4, 5):
+                assert (_outcome(typeb.is_reduced, w, n)
+                        == _outcome(ref.is_reduced, w, n)), (w, n)
+
+
+def test_is_reduced_rank_zero():
+    assert typeb.is_reduced((), 0)
+    # apply_word fails on s_0 at rank 0 with an IndexError; the scan
+    # names the generator like any other letter out of range
+    with pytest.raises(ValueError, match="generator 0 out of range for rank 0"):
+        typeb.is_reduced((0,), 0)
+    with pytest.raises(ValueError, match="generator 1 out of range for rank 0"):
+        typeb.is_reduced((1, 0), 0)
+
+
+@st.composite
+def reduced_walk_and_letter(draw):
+    """A reduced word of rank <= 6 and length <= 13, grown by ascents (as
+    the oracle judges them), then one more letter and the rank or None."""
+    n = draw(st.integers(1, 6))
+    w: tuple[int, ...] = ()
+    for _ in range(draw(st.integers(0, 13))):
+        ascents = [a for a in range(n) if ref.is_reduced(w + (a,), n)]
+        if not ascents:
+            break
+        w += (draw(st.sampled_from(ascents)),)
+    return w + (draw(st.integers(0, n - 1)),), draw(st.sampled_from((None, n)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(reduced_walk_and_letter())
+def test_is_reduced_matches_reference_property(case):
+    w, n = case
+    assert typeb.is_reduced(w, n) == ref.is_reduced(w, n)
+    assert typeb.is_reduced(w[:-1], n)
+
+
 def test_enumerate_reduced_example():
     words = typeb.enumerate_reduced((3, 2, -1))
     assert words == [(0, 1, 2, 1), (0, 2, 1, 2), (2, 0, 1, 2)]
@@ -102,6 +155,8 @@ def test_perm_text():
         typeb.parse_perm("1,1")
     with pytest.raises(ValueError):
         typeb.parse_perm("2,3")
+    with pytest.raises(ValueError, match="not an integer 'x' in permutation '1,x'"):
+        typeb.parse_perm("1,x")
 
 
 def test_word_text():
@@ -109,6 +164,8 @@ def test_word_text():
     assert typeb.fmt_word((0, 1, 2, 1)) == "0121"
     with pytest.raises(ValueError):
         typeb.fmt_word((10,))
+    with pytest.raises(ValueError, match="not a digit ' ' in word '0 1'"):
+        typeb.parse_word("0 1")
 
 
 # ---------------------------------------------------------------------------
