@@ -152,26 +152,17 @@ _SUITE_OPTIONS = (("corrupt", ("axioms",)), ("perm", ("equivalence", "all")),
 
 def cmd_verify(args) -> int:
     _at_least_one(args, ["n", "max-size", "m"])
+    kw = {}
     for name, suites in _SUITE_OPTIONS:
         value = getattr(args, name)
-        if value is not None and value is not False \
-                and args.suite not in suites:
+        if args.suite in suites:
+            kw[name] = value
+        elif value is not None and value is not False:
             raise ValueError(f"--{name} only applies to --suite "
                              + " or ".join(suites))
-    perm = typeb.parse_perm(args.perm) if args.perm else None
-    if args.suite == "axioms":
-        report = verify_mod.verify_axioms(args.n, args.max_size,
-                                          corrupt=args.corrupt)
-    elif args.suite == "bijections":
-        report = verify_mod.verify_bijections(args.n, args.max_size)
-    elif args.suite == "equivalence":
-        report = verify_mod.verify_equivalence(args.n, args.max_size,
-                                               perm=perm, m=args.m)
-    elif args.suite == "highlow":
-        report = verify_mod.verify_highlow(args.n, args.max_size)
-    else:
-        report = verify_mod.verify_all(args.n, args.max_size,
-                                       perm=perm, m=args.m)
+    if "perm" in kw:
+        kw["perm"] = typeb.parse_perm(args.perm) if args.perm else None
+    report = verify_mod.SUITES[args.suite](args.n, args.max_size, **kw)
     print(json.dumps(report, sort_keys=True))
     return 0 if not report["failures"] else 1
 
@@ -210,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("axioms", "bijections", "equivalence",
-                                       "highlow", "all"), required=True)
+    p.add_argument("--suite", choices=tuple(verify_mod.SUITES), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--m", type=int)

@@ -9,6 +9,8 @@ From these primitives the module derives string functions eps/phi, the
 Weyl group action S_i, the remaining odd operators by conjugation,
 component closure (BFS with a vertex cap), axiom checkers that report
 every violation, highest/lowest element searches, and DOT/JSON export.
+The arrow conditions (weight shift, string step, e/f pairing) of the
+even colors and of "b1" are checked by one helper, _arrow_axioms.
 """
 
 from __future__ import annotations
@@ -288,6 +290,48 @@ def _graph_strings(graph: CrystalGraph, colors) -> tuple[dict, dict]:
     return eps_g, phi_g
 
 
+def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
+                  phi_g: dict, conditions: tuple, bar: str) -> list:
+    """The arrow conditions on the e- and f-arrows of the given colors.
+
+    Every e-arrow, then every f-arrow, must shift the weight by alpha_i
+    (alpha_1 for "b1") and move eps and phi by one where eps_g/phi_g
+    know both ends; then every f-arrow, then every e-arrow, must be
+    undone by an arrow of the other dict.  conditions names these three
+    checks (gl2, gl3, gl4 or q3, q3, q4), and bar suffixes the operator
+    names in the details.  Returns the e-arrows in _edge_key order.
+    """
+    model = graph.model
+    up_c, down_c, pair_c = conditions
+    ups, downs = (
+        sorted((arrow for arrow in edges.items() if arrow[0][0] in colors),
+               key=_edge_key)
+        for edges in (graph.e_edges, graph.f_edges))
+    # per operator: its condition, its arrows, the dict that must undo
+    # them, the eps step along them, and how eps and phi move, in words
+    sides = ((up_c, "e", ups, graph.f_edges, -1, "drop", "rise"),
+             (down_c, "f", downs, graph.e_edges, 1, "rise", "drop"))
+    for cond, op, arrows, _, step, eps_move, phi_move in sides:
+        for (i, u), v in arrows:
+            wu = model.weight(graph.vertices[u])
+            wv = model.weight(graph.vertices[v])
+            low, high = (wu, wv) if op == "e" else (wv, wu)
+            if high != _vec_add(low, _alpha(model.n, 1 if i == "b1" else i)):
+                fail(cond, i, u, f"{op}{bar} shifts weight {wu} -> {wv}")
+            if (i, u) in eps_g and (i, v) in eps_g:
+                if eps_g[(i, v)] != eps_g[(i, u)] + step:
+                    fail(cond, i, u, f"eps does not {eps_move} by 1 along {op}")
+                if phi_g[(i, v)] != phi_g[(i, u)] - step:
+                    fail(cond, i, u, f"phi does not {phi_move} by 1 along {op}")
+    for _, op, arrows, inverse, *_ in reversed(sides):
+        other = "f" if op == "e" else "e"
+        for (i, u), v in arrows:
+            if inverse.get((i, v)) != u:
+                fail(pair_c, i, u,
+                     f"{op}{bar}-arrow without matching {other}{bar}-arrow")
+    return ups
+
+
 def check_gl_axioms(graph: CrystalGraph) -> dict:
     """Check the gl(n) crystal conditions on every vertex of the graph."""
     model = graph.model
@@ -305,40 +349,7 @@ def check_gl_axioms(graph: CrystalGraph) -> dict:
             p = pairing(model, i, graph.vertices[u])
             if kf != ke + p:
                 fail("gl1", i, u, f"phi={kf}, eps={ke}, pairing={p}")
-    for (i, u), v in sorted(graph.e_edges.items(), key=_edge_key):
-        if not isinstance(i, int):
-            continue
-        wu = model.weight(graph.vertices[u])
-        wv = model.weight(graph.vertices[v])
-        if wv != _vec_add(wu, _alpha(model.n, i)):
-            fail("gl2", i, u, f"e shifts weight {wu} -> {wv}")
-        if (i, u) in eps_g and (i, v) in eps_g:
-            if eps_g[(i, v)] != eps_g[(i, u)] - 1:
-                fail("gl2", i, u, "eps does not drop by 1 along e")
-            if phi_g[(i, v)] != phi_g[(i, u)] + 1:
-                fail("gl2", i, u, "phi does not rise by 1 along e")
-    for (i, u), v in sorted(graph.f_edges.items(), key=_edge_key):
-        if not isinstance(i, int):
-            continue
-        wu = model.weight(graph.vertices[u])
-        wv = model.weight(graph.vertices[v])
-        if _vec_add(wv, _alpha(model.n, i)) != wu:
-            fail("gl3", i, u, f"f shifts weight {wu} -> {wv}")
-        if (i, u) in eps_g and (i, v) in eps_g:
-            if eps_g[(i, v)] != eps_g[(i, u)] + 1:
-                fail("gl3", i, u, "eps does not rise by 1 along f")
-            if phi_g[(i, v)] != phi_g[(i, u)] - 1:
-                fail("gl3", i, u, "phi does not drop by 1 along f")
-    for (i, u), v in sorted(graph.f_edges.items(), key=_edge_key):
-        if not isinstance(i, int):
-            continue
-        if graph.e_edges.get((i, v)) != u:
-            fail("gl4", i, u, "f-arrow without matching e-arrow")
-    for (i, v), u in sorted(graph.e_edges.items(), key=_edge_key):
-        if not isinstance(i, int):
-            continue
-        if graph.f_edges.get((i, u)) != v:
-            fail("gl4", i, v, "e-arrow without matching f-arrow")
+    _arrow_axioms(graph, fail, even, eps_g, phi_g, ("gl2", "gl3", "gl4"), "")
     return {
         "suite": "gl-axioms",
         "checked": len(graph.vertices),
@@ -350,44 +361,17 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     """Check the q(n) crystal conditions (includes the gl(n) ones)."""
     model = graph.model
     report = check_gl_axioms(graph)
-    failures = report["failures"]
-    fail = partial(_fail, failures, graph)
+    report["suite"] = "q-axioms"
+    fail = partial(_fail, report["failures"], graph)
 
     if model.e_bar is None or model.f_bar is None:
         fail("q0", "b1", 0, "model lacks odd operators")
-        return {
-            "suite": "q-axioms",
-            "checked": len(graph.vertices),
-            "failures": failures,
-        }
+        return report
     for u, b in enumerate(graph.vertices):
         if any(x < 0 for x in model.weight(b)):
             fail("q2", "b1", u, f"negative weight {model.weight(b)}")
-    alpha1 = _alpha(model.n, 1)
-    for (i, u), v in sorted(graph.e_edges.items(), key=_edge_key):
-        if i != "b1":
-            continue
-        wu = model.weight(graph.vertices[u])
-        wv = model.weight(graph.vertices[v])
-        if wv != _vec_add(wu, alpha1):
-            fail("q3", "b1", u, f"e_bar shifts weight {wu} -> {wv}")
-    for (i, u), v in sorted(graph.f_edges.items(), key=_edge_key):
-        if i != "b1":
-            continue
-        wu = model.weight(graph.vertices[u])
-        wv = model.weight(graph.vertices[v])
-        if _vec_add(wv, alpha1) != wu:
-            fail("q3", "b1", u, f"f_bar shifts weight {wu} -> {wv}")
-    for (i, u), v in sorted(graph.f_edges.items(), key=_edge_key):
-        if i != "b1":
-            continue
-        if graph.e_edges.get(("b1", v)) != u:
-            fail("q4", "b1", u, "f_bar-arrow without matching e_bar-arrow")
-    for (i, v), u in sorted(graph.e_edges.items(), key=_edge_key):
-        if i != "b1":
-            continue
-        if graph.f_edges.get(("b1", u)) != v:
-            fail("q4", "b1", v, "e_bar-arrow without matching f_bar-arrow")
+    e_bar = _arrow_axioms(graph, fail, ("b1",), {}, {}, ("q3", "q3", "q4"),
+                          "_bar")
 
     def compose(first: tuple, second: tuple, u: int) -> Optional[int]:
         edges1, c1 = first
@@ -409,24 +393,16 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
                     if left != right:
                         kind = "e" if odd[0] is graph.e_edges else "f"
                         ekind = "e" if ev[0] is graph.e_edges else "f"
-                        fail(
-                            "q5i",
-                            i,
-                            u,
-                            f"{kind}_bar1 and {ekind}_{i} do not commute",
-                        )
-        for (c, u), v in sorted(graph.e_edges.items(), key=_edge_key):
-            if c != "b1" or (i, u) not in eps_g or (i, v) not in eps_g:
+                        fail("q5i", i, u,
+                             f"{kind}_bar1 and {ekind}_{i} do not commute")
+        for (_, u), v in e_bar:
+            if (i, u) not in eps_g or (i, v) not in eps_g:
                 continue
             if eps_g[(i, u)] != eps_g[(i, v)]:
                 fail("q5ii", i, u, f"eps_{i} changes along e_bar")
             if phi_g[(i, u)] != phi_g[(i, v)]:
                 fail("q5ii", i, u, f"phi_{i} changes along e_bar")
-    return {
-        "suite": "q-axioms",
-        "checked": len(graph.vertices),
-        "failures": failures,
-    }
+    return report
 
 
 def _edge_key(item):

@@ -284,10 +284,7 @@ def pkr(fact) -> tuple[Rows, Rows]:
                 f"factor {fi} boxes do not form a vee: {boxes}")
         for idx, cell in enumerate(boxes, start=1):
             t_cells[cell] = tb.code(fi, idx < k or (idx == k and sign < 0))
-    t = tuple(
-        tuple(t_cells[(r, c)] for c in range(r, r + len(row)))
-        for r, row in enumerate(rows)
-    )
+    t = tb.from_cells(tb.shape_of(rows), t_cells)
     msg = tb.validate_pt(t, diagonal_unprimed=False)
     if msg is not None:
         raise InvariantError(f"recording tableau invalid: {msg}")
@@ -311,13 +308,10 @@ def pkr_inverse(p: Rows, t: Rows, m: Optional[int] = None):
         raise NotInImage(f"factor number {max(values)} exceeds m={m}")
     steps = []  # removal cells, last factor first, each arm end-to-corner
     factor_info = {}  # fi -> (sign, number of letters)
+    t_cells = tb.cell_map(t)
     for fi in range(m, 0, -1):
-        marked = [
-            ((r, r + jj), tb.code_primed(v))
-            for r, row in enumerate(t)
-            for jj, v in enumerate(row)
-            if tb.code_value(v) == fi
-        ]
+        marked = [(cell, tb.code_primed(v)) for cell, v in t_cells.items()
+                  if tb.code_value(v) == fi]
         if not marked:
             factor_info[fi] = (0, 0)
             continue

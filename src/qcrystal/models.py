@@ -177,10 +177,7 @@ def highest_ssdt(n: int, shape) -> Rows:
     for k, strip in enumerate(tb.border_strips(shape)):
         for (r, c), _ in strip:
             cells[(r, c)] = k + 1
-    out = tuple(
-        tuple(cells[(r, c)] for c in range(r, r + part))
-        for r, part in enumerate(shape)
-    )
+    out = tb.from_cells(shape, cells)
     msg = tb.validate_ssdt(out, n=n)
     if msg is not None:
         raise tb.InvariantError(msg)

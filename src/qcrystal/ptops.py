@@ -71,17 +71,6 @@ def f_bar1_pt(t: Rows) -> Optional[Rows]:
 # ---------------------------------------------------------------------------
 # even operators: the ribbon rule and its inverse
 
-def _cells(t: Rows) -> dict[tuple[int, int], int]:
-    return {(r, r + j): v for r, row in enumerate(t) for j, v in enumerate(row)}
-
-
-def _rows(t: Rows, cells: dict[tuple[int, int], int]) -> Rows:
-    return tuple(
-        tuple(cells[(r, r + j)] for j in range(len(row)))
-        for r, row in enumerate(t)
-    )
-
-
 def _ribbon_head(cells: dict[tuple[int, int], int], x: tuple[int, int],
                  i: int) -> tuple[int, int]:
     """End of the maximal south/west ribbon of letters i+1 starting at x."""
@@ -180,9 +169,9 @@ def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
         _ribbon(cells, (cell[1], cell[0]), i, allow_2b=False)
         out = tb.conjugate_inverse(cells)
     else:
-        cells = _cells(t)
+        cells = tb.cell_map(t)
         _ribbon(cells, cell, i, allow_2b=True)
-        out = _rows(t, cells)
+        out = tb.from_cells(tb.shape_of(t), cells)
     msg = tb.validate_pt(out)
     if msg is not None:
         raise InvariantError(f"ribbon produced an invalid tableau: {msg}")
@@ -193,19 +182,20 @@ def _preimages(i: int, t: Rows, y: tuple[int, int], primed: bool
                ) -> Iterator[tuple[Rows, tuple[tuple[int, int], bool]]]:
     """Candidates for e_i(t) with bold letter at y, in rule order, each
     with the letter it lowered to i (cell and primality)."""
+    shape = tb.shape_of(t)
     if primed:
-        cells = _cells(t)
+        cells = tb.cell_map(t)
         head = _ribbon_head(cells, y, i)
         if head != y and head[0] == head[1]:
             cells[y] = tb.code(i, False)
-            yield _rows(t, cells), (y, False)
+            yield tb.from_cells(shape, cells), (y, False)
         conj = tb.conjugate(t)
         for changes, (r, c) in _unribbon(conj, (y[1], y[0]), i):
             yield tb.conjugate_inverse({**conj, **changes}), ((c, r), True)
     else:
-        cells = _cells(t)
+        cells = tb.cell_map(t)
         for changes, x in _unribbon(cells, y, i):
-            yield _rows(t, {**cells, **changes}), (x, False)
+            yield tb.from_cells(shape, {**cells, **changes}), (x, False)
 
 
 def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
@@ -337,10 +327,7 @@ def lowest_pt(n: int, shape) -> Rows:
         value = n - k
         for (r, c), entered_north in strip:
             cells[(r, c)] = tb.code(value, entered_north)
-    out = tuple(
-        tuple(cells[(r, c)] for c in range(r, r + part))
-        for r, part in enumerate(shape)
-    )
+    out = tb.from_cells(shape, cells)
     msg = tb.validate_pt(out, n=n)
     if msg is not None:
         raise InvariantError(msg)

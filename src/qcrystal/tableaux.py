@@ -24,11 +24,19 @@ Rows = tuple[tuple[int, ...], ...]
 # ---------------------------------------------------------------------------
 # shapes and primed letter codes
 
+def _int(tok: str, what: str, text: str) -> int:
+    """int(tok), or a ValueError quoting the token and the whole text."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"not an integer {tok!r} in {what} {text!r}") from None
+
+
 def parse_shape(text: str) -> tuple[int, ...]:
     """Parse "5,3,1" into the strict partition (5, 3, 1)."""
     if not text.strip():
         return ()
-    parts = tuple(int(p) for p in text.split(","))
+    parts = tuple(_int(p, "shape", text) for p in text.split(","))
     check_strict(parts)
     return parts
 
@@ -79,6 +87,25 @@ def shape_cells(shape: Sequence[int]) -> Iterator[tuple[int, int]]:
     for r, length in enumerate(shape):
         for c in range(r, r + length):
             yield (r, c)
+
+
+def cell_map(rows: Rows) -> dict[tuple[int, int], int]:
+    """Each entry keyed by its 0-based cell; row r starts in column r.
+
+    >>> cell_map(((1, 2), (3,)))
+    {(0, 0): 1, (0, 1): 2, (1, 1): 3}
+    """
+    return {(r, c): v for r, row in enumerate(rows)
+            for c, v in enumerate(row, r)}
+
+
+def from_cells(shape: Sequence[int],
+               cells: dict[tuple[int, int], int]) -> Rows:
+    """The rows of S(shape) read off a cell map; inverse of cell_map."""
+    return tuple(
+        tuple(cells[(r, c)] for c in range(r, r + part))
+        for r, part in enumerate(shape)
+    )
 
 
 def code(value: int, primed: bool) -> int:
@@ -137,9 +164,12 @@ def parse_primed(text: str) -> Rows:
         row = []
         for tok in chunk.split():
             primed = tok[-1] in PRIME_CHARS
-            if primed:
-                tok = tok[:-1]
-            row.append(code(int(tok), primed))
+            value = tok[:-1] if primed else tok
+            try:
+                row.append(code(int(value), primed))
+            except ValueError:
+                raise ValueError(
+                    f"not a letter {tok!r} in tableau {text!r}") from None
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -149,7 +179,8 @@ def parse_plain(text: str) -> Rows:
     if not text:
         return ()
     return tuple(
-        tuple(int(tok) for tok in chunk.split()) for chunk in text.split("/")
+        tuple(_int(tok, "tableau", text) for tok in chunk.split())
+        for chunk in text.split("/")
     )
 
 
@@ -532,12 +563,7 @@ def enumerate_st(shape: Sequence[int]) -> list[Rows]:
 
     def rec(k: int):
         if k > len(cells):
-            results.append(
-                tuple(
-                    tuple(filling[(r, c)] for c in range(r, r + shape[r]))
-                    for r in range(len(shape))
-                )
-            )
+            results.append(from_cells(shape, filling))
             return
         for cell in cells:
             if cell not in filling and ready(cell):
@@ -582,11 +608,7 @@ def enumerate_pt(n: int, shape: Sequence[int],
 
     def rec(k: int):
         if k == len(cells):
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(r, r + shape[r]))
-                for r in range(len(shape))
-            )
-            results.append(rows)
+            results.append(from_cells(shape, grid))
             return
         r, c = cells[k]
         for v in range(1, 2 * n + 1):

@@ -176,6 +176,39 @@ def test_verify_corrupt_negative_control(capsys):
     assert json.loads(out)["failures"]
 
 
+@pytest.mark.parametrize("suite,extra,kw", [
+    ("axioms", [], {"corrupt": False}),
+    ("axioms", ["--corrupt"], {"corrupt": True}),
+    ("bijections", [], {}),
+    ("equivalence", [], {"perm": None, "m": None}),
+    ("equivalence", ["--perm", "2,-1", "--m", "2"], {"perm": (2, -1), "m": 2}),
+    ("highlow", [], {}),
+    ("all", ["--perm", "2,-1"], {"perm": (2, -1), "m": None}),
+])
+def test_verify_dispatches_through_suites(capsys, monkeypatch, suite, extra,
+                                          kw):
+    # each suite gets exactly the options _SUITE_OPTIONS lists for it
+    calls = []
+
+    def fake(n, max_size, **options):
+        calls.append((n, max_size, options))
+        return {"suite": suite, "checked": 1, "failures": []}
+
+    monkeypatch.setitem(verify.SUITES, suite, fake)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "2",
+                       "--max-size", "3", *extra)
+    assert (code, calls) == (0, [(2, 3, kw)])
+
+
+def test_verify_suite_choices_are_the_suites(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert "--suite {axioms,bijections,equivalence,highlow,all}" in out
+    assert list(verify.SUITES) == ["axioms", "bijections", "equivalence",
+                                   "highlow", "all"]
+
+
 def test_verify_corrupt_rejected_elsewhere(capsys):
     code, _, err = run(capsys, "verify", "--suite", "highlow", "--corrupt")
     assert code == 2
@@ -233,9 +266,24 @@ def test_bad_input_exits_2(capsys, argv):
      "not an integer '' in permutation '1,,2'"),
     (["enumerate", "--what", "reduced", "--perm", ""],
      "not an integer '' in permutation ''"),
-], ids=["word-letter", "perm-empty-token", "perm-empty"])
+    (["graph", "--model", "pt", "--n", "3", "--shape", "2,1",
+      "--seed", "1 x / 2"], "not a letter 'x' in tableau '1 x / 2'"),
+    (["graph", "--model", "ssdt", "--n", "3", "--shape", "2,1",
+      "--seed", "2 y / 1"], "not an integer 'y' in tableau '2 y / 1'"),
+    (["graph", "--model", "pt", "--n", "3", "--shape", "2,,1"],
+     "argument --shape: not an integer '' in shape '2,,1'"),
+], ids=["word-letter", "perm-empty-token", "perm-empty", "primed-letter",
+        "plain-entry", "shape-part"])
 def test_bad_text_names_the_token(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        # argparse rejects a bad --shape itself: usage lines, then one
+        # "qcrystal graph: error: ..." line
+        code = exc.code
+        out, err = capsys.readouterr()
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        err = err.splitlines(keepends=True)[-1].split(": ", 1)[1]
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

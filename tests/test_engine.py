@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -280,3 +281,88 @@ def test_find_highest_unique_failure():
     g = engine.component(model, "x")
     assert engine.find_highest(g) == "x"
     assert engine.find_lowest(g) == "x"
+
+
+# Whole reports on planted faults, order included, pinned as literals.
+# Each plant is (arrow dict, colour, source, new target or None to drop)
+# on the 16-vertex component of 11 in the n = 4 word crystal.  gl2's eps
+# step and gl3's phi step have no golden: eps and phi are read off the
+# same arrows they are checked along, so eps(v) = eps(u) - 1 holds on
+# every e-arrow u -> v whose strings are both finite.
+_PLANTS = [("f", 1, "11", None), ("e", 2, "13", "24"), ("f", 3, "13", "13"),
+           ("e", 3, "44", "33"), ("f", "b1", "11", "11"),
+           ("e", "b1", "23", "14"), ("e", "b1", "21", "14")]
+
+_PLANTED_REPORT = [
+    ("gl1", 1, "11", "phi=0, eps=0, pairing=2"),
+    ("gl1", 3, "13", "operator chain loops"),
+    ("gl1", 3, "44", "phi=0, eps=1, pairing=-2"),
+    ("gl2", 1, "12", "phi does not rise by 1 along e"),
+    ("gl2", 2, "13", "e shifts weight (1, 0, 1, 0) -> (0, 1, 0, 1)"),
+    ("gl2", 3, "44", "e shifts weight (0, 0, 0, 2) -> (0, 0, 2, 0)"),
+    ("gl2", 3, "44", "phi does not rise by 1 along e"),
+    ("gl3", 3, "13", "f shifts weight (1, 0, 1, 0) -> (1, 0, 1, 0)"),
+    ("gl3", 3, "34", "eps does not rise by 1 along f"),
+    ("gl4", 2, "12", "f-arrow without matching e-arrow"),
+    ("gl4", 3, "13", "f-arrow without matching e-arrow"),
+    ("gl4", 3, "34", "f-arrow without matching e-arrow"),
+    ("gl4", 1, "12", "e-arrow without matching f-arrow"),
+    ("gl4", 2, "13", "e-arrow without matching f-arrow"),
+    ("gl4", 3, "14", "e-arrow without matching f-arrow"),
+    ("gl4", 3, "44", "e-arrow without matching f-arrow"),
+    ("q3", "b1", "21", "e_bar shifts weight (1, 1, 0, 0) -> (1, 0, 0, 1)"),
+    ("q3", "b1", "23", "e_bar shifts weight (0, 1, 1, 0) -> (1, 0, 0, 1)"),
+    ("q3", "b1", "11", "f_bar shifts weight (2, 0, 0, 0) -> (2, 0, 0, 0)"),
+    ("q4", "b1", "11", "f_bar-arrow without matching e_bar-arrow"),
+    ("q4", "b1", "13", "f_bar-arrow without matching e_bar-arrow"),
+    ("q4", "b1", "21", "e_bar-arrow without matching f_bar-arrow"),
+    ("q4", "b1", "23", "e_bar-arrow without matching f_bar-arrow"),
+    ("q5i", 3, "21", "e_bar1 and e_3 do not commute"),
+    ("q5i", 3, "23", "e_bar1 and e_3 do not commute"),
+    ("q5i", 3, "24", "e_bar1 and e_3 do not commute"),
+    ("q5i", 3, "23", "e_bar1 and f_3 do not commute"),
+    ("q5i", 3, "13", "f_bar1 and f_3 do not commute"),
+    ("q5ii", 3, "21", "eps_3 changes along e_bar"),
+    ("q5ii", 3, "23", "eps_3 changes along e_bar"),
+    ("q5ii", 3, "23", "phi_3 changes along e_bar"),
+]
+
+
+def _rows(report, suite, checked):
+    assert list(report) == ["suite", "checked", "failures"]
+    assert (report["suite"], report["checked"]) == (suite, checked)
+    assert all(list(f) == ["condition", "color", "vertex", "detail"]
+               for f in report["failures"])
+    return [tuple(f.values()) for f in report["failures"]]
+
+
+def test_planted_faults_whole_reports():
+    g = engine.component(words_model(4), W("11"))
+    index = {g.model.fmt(b): u for u, b in enumerate(g.vertices)}
+    for kind, color, src, dst in _PLANTS:
+        edges = g.e_edges if kind == "e" else g.f_edges
+        if dst is None:
+            del edges[(color, index[src])]
+        else:
+            edges[(color, index[src])] = index[dst]
+    gl_part = [row for row in _PLANTED_REPORT if row[0].startswith("gl")]
+    assert _rows(engine.check_gl_axioms(g), "gl-axioms", 16) == gl_part
+    assert _rows(engine.check_q_axioms(g), "q-axioms", 16) == _PLANTED_REPORT
+
+
+def test_negative_weight_and_missing_odd_pair_reports():
+    model = words_model(4)
+    shifted = dataclasses.replace(
+        model, weight=lambda w: tuple(x - 1 for x in words.weight(w, 4)))
+    assert _rows(engine.check_q_axioms(engine.component(shifted, W("1"))),
+                 "q-axioms", 4) == [
+        ("q2", "b1", "1", "negative weight (0, -1, -1, -1)"),
+        ("q2", "b1", "2", "negative weight (-1, 0, -1, -1)"),
+        ("q2", "b1", "3", "negative weight (-1, -1, 0, -1)"),
+        ("q2", "b1", "4", "negative weight (-1, -1, -1, 0)"),
+    ]
+    even_only = engine.component(
+        dataclasses.replace(model, e_bar=None, f_bar=None), W("1"))
+    assert _rows(engine.check_gl_axioms(even_only), "gl-axioms", 4) == []
+    assert _rows(engine.check_q_axioms(even_only), "q-axioms", 4) == [
+        ("q0", "b1", "1", "model lacks odd operators")]

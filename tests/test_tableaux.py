@@ -138,12 +138,34 @@ def test_parse_plain():
     assert tb.fmt_plain(((3, 2), (1,))) == "3 2 / 1"
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (tb.parse_primed, "1 x / 2", "not a letter 'x' in tableau '1 x / 2'"),
+    (tb.parse_primed, " 1 2'' / 2", '''not a letter "2''" in tableau "1 2'' / 2"'''),
+    (tb.parse_primed, "1 ′", "not a letter '′' in tableau '1 ′'"),
+    (tb.parse_plain, "2 1 / 1 1.5", "not an integer '1.5' in tableau '2 1 / 1 1.5'"),
+    (tb.parse_shape, "2,,1", "not an integer '' in shape '2,,1'"),
+    (tb.parse_shape, "3,1,", "not an integer '' in shape '3,1,'"),
+    (tb.parse_shape, "3;1", "not an integer '3;1' in shape '3;1'"),
+], ids=["primed-letter", "primed-double-prime", "primed-bare-prime",
+        "plain-entry", "shape-empty-part", "shape-trailing-comma",
+        "shape-separator"])
+def test_parsers_name_the_bad_token(parse, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_shape_helpers():
     assert tb.parse_shape("5,3,1") == (5, 3, 1)
     assert tb.parse_shape("") == ()
     with pytest.raises(ValueError):
         tb.parse_shape("3,3")
     assert list(tb.shape_cells((2, 1))) == [(0, 0), (0, 1), (1, 1)]
+    cells = tb.cell_map(((5, 6, 7), (8,)))
+    assert cells == {(0, 0): 5, (0, 1): 6, (0, 2): 7, (1, 1): 8}
+    assert list(cells) == list(tb.shape_cells((3, 1)))
+    assert tb.from_cells((3, 1), cells) == ((5, 6, 7), (8,))
+    assert tb.from_cells((), {}) == ()
     assert ref.get(((2, 3), (4,)), 1, 1) == 4
     assert ref.get(((2, 3), (4,)), 1, 0) is None
 
