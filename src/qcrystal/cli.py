@@ -161,7 +161,8 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--{name} only applies to --suite "
                              + " or ".join(suites))
     if "perm" in kw:
-        kw["perm"] = typeb.parse_perm(args.perm) if args.perm else None
+        kw["perm"] = (None if args.perm is None
+                      else typeb.parse_perm(args.perm))
     report = verify_mod.SUITES[args.suite](args.n, args.max_size, **kw)
     print(json.dumps(report, sort_keys=True))
     return 0 if not report["failures"] else 1

@@ -5,12 +5,14 @@ lowering maps e(i, b) / f(i, b) for the colors i = 1..n-1, a weight
 function, and optionally the odd pair e_bar / f_bar (color "b1").
 Elements may be any hashable values; fmt renders them canonically.
 
-From these primitives the module derives string functions eps/phi, the
-Weyl group action S_i, the remaining odd operators by conjugation,
-component closure (BFS with a vertex cap), axiom checkers that report
-every violation, highest/lowest element searches, and DOT/JSON export.
-The arrow conditions (weight shift, string step, e/f pairing) of the
-even colors and of "b1" are checked by one helper, _arrow_axioms.
+component is the only function that calls these operators: it closes
+a seed into a CrystalGraph (BFS with a vertex cap) holding every arrow.
+Everything else is read off that graph: the string lengths eps/phi, the
+Weyl group action S_i and the odd colors i-bar (e_bar conjugated by
+S_w), axiom checkers that report every violation, highest/lowest vertex
+searches, and DOT/JSON export.  The arrow conditions (weight shift,
+string step, e/f pairing) of the even colors and of "b1" are checked by
+one helper, _arrow_axioms.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Hashable, Optional, Sequence, Union
+from typing import Callable, Hashable, Optional, Sequence, Union
 
 Element = Hashable
 Color = Union[int, str]  # 1..n-1, or "b1" for the odd pair
 
 DEFAULT_CAP = 10**6
-_STEP_GUARD = 10**4
 
 
 class CapExceeded(Exception):
@@ -54,49 +55,10 @@ class CrystalModel:
         return out
 
 
-def _chain_length(op: Callable, name: str, i: int, b: Element) -> int:
-    """Number of times op(i, .) applies to b before vanishing."""
-    k = 0
-    while b is not None:
-        b = op(i, b)
-        k += 1
-        if k > _STEP_GUARD:
-            raise RuntimeError(
-                f"{name}({i}, .) chain exceeded {_STEP_GUARD} steps")
-    return k - 1
-
-
-def eps(model: CrystalModel, i: int, b: Element) -> int:
-    """Number of times e(i, .) applies before vanishing."""
-    return _chain_length(model.e, "e", i, b)
-
-
-def phi(model: CrystalModel, i: int, b: Element) -> int:
-    return _chain_length(model.f, "f", i, b)
-
-
 def pairing(model: CrystalModel, i: int, b: Element) -> int:
     """<wt(b), h_i> = wt[i-1] - wt[i] (1-based color)."""
     wt = model.weight(b)
     return wt[i - 1] - wt[i]
-
-
-def weyl_s(model: CrystalModel, i: int, b: Element) -> Element:
-    """Weyl reflection S_i on crystal elements."""
-    k = pairing(model, i, b)
-    op = model.f if k >= 0 else model.e
-    for _ in range(abs(k)):
-        b = op(i, b)
-        if b is None:
-            raise RuntimeError(f"S_{i} ran off the crystal")
-    return b
-
-
-def weyl_w(model: CrystalModel, word: Sequence[int], b: Element) -> Element:
-    """Apply S_{word[0]} S_{word[1]} ... as composition (rightmost first)."""
-    for i in reversed(tuple(word)):
-        b = weyl_s(model, i, b)
-    return b
 
 
 def w_word(i: int) -> list[int]:
@@ -109,40 +71,6 @@ def w0_word(n: int) -> list[int]:
     return [i for k in range(n - 1, 0, -1) for i in range(1, k + 1)]
 
 
-def _odd_conjugated(model: CrystalModel, bar, i: int,
-                    b: Element) -> Optional[Element]:
-    """The color-1 odd operator bar moved to color i by Weyl moves."""
-    if bar is None:
-        raise ValueError(f"model {model.name} has no odd operators")
-    if i == 1:
-        return bar(b)
-    word = w_word(i)
-    c = bar(weyl_w(model, word, b))
-    if c is None:
-        return None
-    return weyl_w(model, list(reversed(word)), c)
-
-
-def odd_e_bar(model: CrystalModel, i: int, b: Element) -> Optional[Element]:
-    """The raising operator of color i-bar, reduced to e_bar by Weyl moves."""
-    return _odd_conjugated(model, model.e_bar, i, b)
-
-
-def odd_f_bar(model: CrystalModel, i: int, b: Element) -> Optional[Element]:
-    return _odd_conjugated(model, model.f_bar, i, b)
-
-
-def is_q_highest(model: CrystalModel, b: Element) -> bool:
-    """Killed by every even raising operator and every odd one."""
-    for i in range(1, model.n):
-        if model.e(i, b) is not None:
-            return False
-    for i in range(1, model.n):
-        if odd_e_bar(model, i, b) is not None:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # component closure and the edge graph
 
@@ -150,6 +78,7 @@ def is_q_highest(model: CrystalModel, b: Element) -> bool:
 class CrystalGraph:
     model: CrystalModel
     vertices: list[Element]
+    names: list[str]  # model.fmt of each vertex, the sort key
     # keyed by (color, source index); e_edges computed from model.e /
     # model.e_bar independently of f_edges, so mispaired arrows show up
     f_edges: dict[tuple[Color, int], int]
@@ -212,9 +141,11 @@ def _sorted_graph(model: CrystalModel, found: list,
     """The graph on found, sorted by model.fmt.
 
     arrows[k] holds the f and then e target of each color of found[k]
-    (the odd pair last) as indices into found, or None.
+    (the odd pair last) as indices into found, or None.  Each vertex is
+    formatted once; the strings stay on the graph as its names.
     """
-    order = sorted(range(len(found)), key=lambda k: model.fmt(found[k]))
+    keys = [model.fmt(b) for b in found]
+    order = sorted(range(len(found)), key=keys.__getitem__)
     to_index = [0] * len(found)
     for u, k in enumerate(order):
         to_index[k] = u
@@ -228,7 +159,8 @@ def _sorted_graph(model: CrystalModel, found: list,
                 f_edges[(color, u)] = to_index[down]
             if up is not None:
                 e_edges[(color, u)] = to_index[up]
-    return CrystalGraph(model, [found[k] for k in order], f_edges, e_edges)
+    return CrystalGraph(model, [found[k] for k in order],
+                        [keys[k] for k in order], f_edges, e_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +198,7 @@ def _fail(failures: list, graph: CrystalGraph, condition: str,
         {
             "condition": condition,
             "color": color,
-            "vertex": graph.model.fmt(graph.vertices[u]),
+            "vertex": graph.names[u],
             "detail": detail,
         }
     )
@@ -295,11 +227,18 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
     """The arrow conditions on the e- and f-arrows of the given colors.
 
     Every e-arrow, then every f-arrow, must shift the weight by alpha_i
-    (alpha_1 for "b1") and move eps and phi by one where eps_g/phi_g
-    know both ends; then every f-arrow, then every e-arrow, must be
-    undone by an arrow of the other dict.  conditions names these three
-    checks (gl2, gl3, gl4 or q3, q3, q4), and bar suffixes the operator
-    names in the details.  Returns the e-arrows in _edge_key order.
+    (alpha_1 for "b1") and raise phi (along e) or eps (along f) by one
+    where the strings are known at both ends; then every f-arrow, then
+    every e-arrow, must be undone by an arrow of the other dict.
+    conditions names these three checks (gl2, gl3, gl4 or q3, q3, q4),
+    and bar suffixes the operator names in the details.  Returns the
+    e-arrows in _edge_key order.
+
+    eps dropping along e and phi dropping along f are not checked: they
+    cannot fail.  eps_g is the length of the e-chain read off these very
+    arrows, so for an e-arrow u -> v with both chains finite the chain
+    from u is u followed by the chain from v, and eps(u) = eps(v) + 1;
+    likewise phi(u) = phi(v) + 1 along an f-arrow.
     """
     model = graph.model
     up_c, down_c, pair_c = conditions
@@ -308,21 +247,19 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
                key=_edge_key)
         for edges in (graph.e_edges, graph.f_edges))
     # per operator: its condition, its arrows, the dict that must undo
-    # them, the eps step along them, and how eps and phi move, in words
-    sides = ((up_c, "e", ups, graph.f_edges, -1, "drop", "rise"),
-             (down_c, "f", downs, graph.e_edges, 1, "rise", "drop"))
-    for cond, op, arrows, _, step, eps_move, phi_move in sides:
+    # them, and the string that must rise by one along them
+    sides = ((up_c, "e", ups, graph.f_edges, "phi", phi_g),
+             (down_c, "f", downs, graph.e_edges, "eps", eps_g))
+    for cond, op, arrows, _, name, strings in sides:
         for (i, u), v in arrows:
             wu = model.weight(graph.vertices[u])
             wv = model.weight(graph.vertices[v])
             low, high = (wu, wv) if op == "e" else (wv, wu)
             if high != _vec_add(low, _alpha(model.n, 1 if i == "b1" else i)):
                 fail(cond, i, u, f"{op}{bar} shifts weight {wu} -> {wv}")
-            if (i, u) in eps_g and (i, v) in eps_g:
-                if eps_g[(i, v)] != eps_g[(i, u)] + step:
-                    fail(cond, i, u, f"eps does not {eps_move} by 1 along {op}")
-                if phi_g[(i, v)] != phi_g[(i, u)] - step:
-                    fail(cond, i, u, f"phi does not {phi_move} by 1 along {op}")
+            if ((i, u) in strings and (i, v) in strings
+                    and strings[(i, v)] != strings[(i, u)] + 1):
+                fail(cond, i, u, f"{name} does not rise by 1 along {op}")
     for _, op, arrows, inverse, *_ in reversed(sides):
         other = "f" if op == "e" else "e"
         for (i, u), v in arrows:
@@ -417,44 +354,54 @@ def _color_key(color: Color):
 # ---------------------------------------------------------------------------
 # extreme vertices
 
-def find_highest(graph: CrystalGraph) -> Element:
-    """The unique vertex killed by every raising operator."""
-    model = graph.model
-    found = []
-    for u, b in enumerate(graph.vertices):
-        if any((i, u) in graph.e_edges for i in range(1, model.n)):
-            continue
-        if model.e_bar is not None:
-            if ("b1", u) in graph.e_edges:
-                continue
-            if any(
-                odd_e_bar(model, i, b) is not None for i in range(2, model.n)
-            ):
-                continue
-        found.append(b)
+def _weyl(graph: CrystalGraph, word: Sequence[int], u: int) -> int:
+    """S_{word[0]} S_{word[1]} ... on vertex index u, rightmost first.
+
+    S_i takes <wt, h_i> steps along the f_i-arrows, or minus that many
+    along the e_i-arrows.
+    """
+    for i in reversed(word):
+        k = pairing(graph.model, i, graph.vertices[u])
+        edges = graph.f_edges if k >= 0 else graph.e_edges
+        for _ in range(abs(k)):
+            u = edges.get((i, u))
+            if u is None:
+                raise RuntimeError(f"S_{i} ran off the crystal")
+    return u
+
+
+def _is_q_highest(graph: CrystalGraph, u: int) -> bool:
+    """No even e-arrow leaves u, and for every color i no e_bar-arrow
+    leaves S_w u with w = w_word(i): the odd e of color i, i-bar, is
+    e_bar conjugated by S_w, and S_w is a bijection."""
+    colors = range(1, graph.model.n)
+    return not any((i, u) in graph.e_edges for i in colors) and all(
+        ("b1", _weyl(graph, w_word(i), u)) not in graph.e_edges
+        for i in colors)
+
+
+def _the_one(graph: CrystalGraph, which: str, found: list) -> Element:
+    """The vertex of the only index in found; else one shared error."""
     if len(found) != 1:
         raise ValueError(
-            f"expected one highest vertex, found {len(found)}: "
-            f"{[model.fmt(b) for b in found]}"
+            f"expected one {which} vertex, found {len(found)}: "
+            f"{[graph.names[u] for u in found]}"
         )
-    return found[0]
+    return graph.vertices[found[0]]
+
+
+def find_highest(graph: CrystalGraph) -> Element:
+    """The unique vertex killed by every raising operator."""
+    return _the_one(graph, "highest", [
+        u for u in range(len(graph)) if _is_q_highest(graph, u)])
 
 
 def find_lowest(graph: CrystalGraph) -> Element:
     """The unique vertex carried to the highest one by S_{w_0}."""
-    model = graph.model
-    word = w0_word(model.n)
-    found = [
-        b
-        for b in graph.vertices
-        if is_q_highest(model, weyl_w(model, word, b))
-    ]
-    if len(found) != 1:
-        raise ValueError(
-            f"expected one lowest vertex, found {len(found)}: "
-            f"{[model.fmt(b) for b in found]}"
-        )
-    return found[0]
+    word = w0_word(graph.model.n)
+    return _the_one(graph, "lowest", [
+        u for u in range(len(graph))
+        if _is_q_highest(graph, _weyl(graph, word, u))])
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +413,8 @@ def _dot_quote(s: str) -> str:
 
 def to_dot(graph: CrystalGraph) -> str:
     """DOT text with one arrow per lowering operator, labeled by color."""
-    model = graph.model
-    names = [_dot_quote(model.fmt(b)) for b in graph.vertices]
-    lines = [f"digraph {model.name} {{", "  rankdir=TB;"]
+    names = [_dot_quote(name) for name in graph.names]
+    lines = [f"digraph {graph.model.name} {{", "  rankdir=TB;"]
     lines += [f"  {name};" for name in names]
     for (color, u), v in sorted(graph.f_edges.items(), key=_edge_key):
         lines.append(f"  {names[u]} -> {names[v]} [label=\"{color}\"];")
@@ -479,13 +425,13 @@ def to_dot(graph: CrystalGraph) -> str:
 def to_json(graph: CrystalGraph) -> dict:
     """Plain-dict form: vertices, f-arrows, and weights, all canonical."""
     model = graph.model
-    names = [model.fmt(b) for b in graph.vertices]
+    names = graph.names
     edges = [
         {"src": names[u], "color": color, "dst": names[v]}
         for (color, u), v in sorted(graph.f_edges.items(), key=_edge_key)
     ]
     return {
-        "vertices": names,
+        "vertices": list(names),
         "edges": edges,
         "weights": {names[u]: list(model.weight(b)) for u, b in enumerate(graph.vertices)},
     }

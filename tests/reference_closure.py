@@ -3,8 +3,8 @@
 A plain BFS finds the vertices, then a second loop applies every
 operator again to record the arrows.  It is kept as an oracle for the
 one-pass ``qcrystal.engine.component``: both must give the same
-``vertices`` and the same ``f_edges``/``e_edges``, in the same insertion
-order.
+``vertices``, ``names`` and ``f_edges``/``e_edges``, in the same
+insertion order.
 """
 
 from typing import Optional
@@ -50,7 +50,8 @@ def component(model: CrystalModel, seed: Element,
             c = model.e_bar(b)
             if c is not None:
                 e_edges[("b1", u)] = index[c]
-    return CrystalGraph(model, vertices, f_edges, e_edges)
+    return CrystalGraph(model, vertices, [model.fmt(b) for b in vertices],
+                        f_edges, e_edges)
 
 
 def _neighbors(model: CrystalModel, b: Element):

@@ -266,14 +266,19 @@ def test_bad_input_exits_2(capsys, argv):
      "not an integer '' in permutation '1,,2'"),
     (["enumerate", "--what", "reduced", "--perm", ""],
      "not an integer '' in permutation ''"),
+    (["verify", "--suite", "equivalence", "--perm", ""],
+     "not an integer '' in permutation ''"),
+    (["verify", "--suite", "all", "--perm", ""],
+     "not an integer '' in permutation ''"),
     (["graph", "--model", "pt", "--n", "3", "--shape", "2,1",
       "--seed", "1 x / 2"], "not a letter 'x' in tableau '1 x / 2'"),
     (["graph", "--model", "ssdt", "--n", "3", "--shape", "2,1",
       "--seed", "2 y / 1"], "not an integer 'y' in tableau '2 y / 1'"),
     (["graph", "--model", "pt", "--n", "3", "--shape", "2,,1"],
      "argument --shape: not an integer '' in shape '2,,1'"),
-], ids=["word-letter", "perm-empty-token", "perm-empty", "primed-letter",
-        "plain-entry", "shape-part"])
+], ids=["word-letter", "perm-empty-token", "perm-empty",
+        "verify-equivalence-perm-empty", "verify-all-perm-empty",
+        "primed-letter", "plain-entry", "shape-part"])
 def test_bad_text_names_the_token(capsys, argv, message):
     try:
         code, out, err = run(capsys, *argv)

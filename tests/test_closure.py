@@ -12,6 +12,7 @@ from qcrystal import tableaux as tb
 
 def assert_same_graph(got, want):
     assert got.vertices == want.vertices
+    assert got.names == want.names
     assert list(got.f_edges.items()) == list(want.f_edges.items())
     assert list(got.e_edges.items()) == list(want.e_edges.items())
 

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from qcrystal import engine, words
+import reference_weyl as ref
+from qcrystal import engine, models, words
 from qcrystal.typeb import fmt_word
 from qcrystal.typeb import parse_word as W
 
@@ -27,20 +28,19 @@ def all_words(n, m):
 
 def test_eps_phi_frozen():
     model = words_model(2)
-    assert engine.eps(model, 1, W("12")) == 1
-    assert engine.phi(model, 1, W("12")) == 1
+    assert ref.eps(model, 1, W("12")) == 1
+    assert ref.phi(model, 1, W("12")) == 1
     assert engine.pairing(model, 1, W("12")) == 0
-    assert engine.eps(model, 1, W("21")) == 0
-    assert engine.phi(model, 1, W("1")) == 1
+    assert ref.eps(model, 1, W("21")) == 0
+    assert ref.phi(model, 1, W("1")) == 1
 
 
 def test_string_identity_everywhere():
     model = words_model(3)
     for w in all_words(3, 4):
         for i in (1, 2):
-            assert engine.phi(model, i, w) == engine.eps(model, i, w) + engine.pairing(
-                model, i, w
-            )
+            assert ref.phi(model, i, w) == ref.eps(model, i, w) + engine.pairing(
+                model, i, w)
 
 
 def test_weyl_words():
@@ -54,50 +54,50 @@ def test_weyl_words():
 def test_weyl_s():
     model = words_model(3)
     # zero pairing acts as the identity
-    assert engine.weyl_s(model, 2, W("1")) == W("1")
+    assert ref.weyl_s(model, 2, W("1")) == W("1")
     # S_1 on "1": pairing 1, one lowering step
-    assert engine.weyl_s(model, 1, W("1")) == W("2")
-    assert engine.weyl_s(model, 1, W("2")) == W("1")
+    assert ref.weyl_s(model, 1, W("1")) == W("2")
+    assert ref.weyl_s(model, 1, W("2")) == W("1")
 
 
 def test_weyl_s_involution():
     model = words_model(3)
     for w in all_words(3, 3):
         for i in (1, 2):
-            assert engine.weyl_s(model, i, engine.weyl_s(model, i, w)) == w
+            assert ref.weyl_s(model, i, ref.weyl_s(model, i, w)) == w
 
 
 def test_weyl_w0_involution():
     model = words_model(3)
     w0 = engine.w0_word(3)
     for w in all_words(3, 3):
-        assert engine.weyl_w(model, w0, engine.weyl_w(model, w0, w)) == w
+        assert ref.weyl_w(model, w0, ref.weyl_w(model, w0, w)) == w
 
 
 def test_odd_e_bar_conjugated():
     model = words_model(3)
-    assert engine.odd_e_bar(model, 2, W("32")) == W("22")
-    assert engine.odd_e_bar(model, 1, W("21")) == W("11")
-    assert engine.odd_f_bar(model, 1, W("11")) == W("21")
+    assert ref.odd_e_bar(model, 2, W("32")) == W("22")
+    assert ref.odd_e_bar(model, 1, W("21")) == W("11")
+    assert ref.odd_f_bar(model, 1, W("11")) == W("21")
 
 
 def test_odd_bars_mutually_inverse():
     model = words_model(3)
     for w in all_words(3, 3):
         for i in (1, 2):
-            up = engine.odd_e_bar(model, i, w)
+            up = ref.odd_e_bar(model, i, w)
             if up is not None:
-                assert engine.odd_f_bar(model, i, up) == w
-            down = engine.odd_f_bar(model, i, w)
+                assert ref.odd_f_bar(model, i, up) == w
+            down = ref.odd_f_bar(model, i, w)
             if down is not None:
-                assert engine.odd_e_bar(model, i, down) == w
+                assert ref.odd_e_bar(model, i, down) == w
 
 
 def test_odd_bar_weight_shift():
     model = words_model(3)
     for w in all_words(3, 3):
         for i in (1, 2):
-            up = engine.odd_e_bar(model, i, w)
+            up = ref.odd_e_bar(model, i, w)
             if up is None:
                 continue
             wu = list(words.weight(w, 3))
@@ -127,14 +127,14 @@ def test_component_b22():
 
 def test_is_q_highest():
     model = words_model(3)
-    assert engine.is_q_highest(model, W("111"))
+    assert ref.is_q_highest(model, W("111"))
     # "211" is gl-highest yet e_bar1 still raises it to "111"
     assert all(words.e_even(i, W("211")) is None for i in (1, 2))
-    assert not engine.is_q_highest(model, W("211"))
-    assert engine.is_q_highest(model, W("121"))
-    assert not engine.is_q_highest(model, W("112"))
+    assert not ref.is_q_highest(model, W("211"))
+    assert ref.is_q_highest(model, W("121"))
+    assert not ref.is_q_highest(model, W("112"))
     # exactly two components in B_3^3, so exactly two highest words
-    highs = [w for w in all_words(3, 3) if engine.is_q_highest(model, w)]
+    highs = [w for w in all_words(3, 3) if ref.is_q_highest(model, w)]
     assert highs == [W("111"), W("121")]
 
 
@@ -168,7 +168,7 @@ def _q5ii_through_the_model(g):
             if c != "b1":
                 continue
             bu, bv = g.vertices[u], g.vertices[v]
-            for name, string in (("eps", engine.eps), ("phi", engine.phi)):
+            for name, string in (("eps", ref.eps), ("phi", ref.phi)):
                 if string(model, i, bu) != string(model, i, bv):
                     out.append({"condition": "q5ii", "color": i,
                                 "vertex": model.fmt(bu),
@@ -267,8 +267,9 @@ def test_to_json():
 
 
 def test_find_highest_unique_failure():
-    # two disjoint highest vertices cannot arise in one component, so
-    # check the error path with a doctored single-vertex model
+    # a single flat vertex is its own highest and lowest; two disjoint
+    # highest vertices cannot arise in one component, so the error path
+    # runs on a hand-built graph of two flat vertices
     model = engine.CrystalModel(
         n=2,
         e=lambda i, b: None,
@@ -281,14 +282,30 @@ def test_find_highest_unique_failure():
     g = engine.component(model, "x")
     assert engine.find_highest(g) == "x"
     assert engine.find_lowest(g) == "x"
+    two = engine.CrystalGraph(model, ["x", "y"], ["<x>", "<y>"], {}, {})
+    for find, which in ((engine.find_highest, "highest"),
+                        (engine.find_lowest, "lowest")):
+        with pytest.raises(ValueError) as exc:
+            find(two)
+        assert str(exc.value) == (
+            f"expected one {which} vertex, found 2: ['<x>', '<y>']")
+
+
+def test_extremes_without_the_odd_pair():
+    # both searches read the graph, so neither needs e_bar/f_bar
+    model = dataclasses.replace(models.model_words(3), e_bar=None, f_bar=None)
+    g = engine.component(model, (1, 2))
+    assert engine.find_highest(g) == (1, 1)
+    assert engine.find_lowest(g) == (3, 3)
 
 
 # Whole reports on planted faults, order included, pinned as literals.
 # Each plant is (arrow dict, colour, source, new target or None to drop)
 # on the 16-vertex component of 11 in the n = 4 word crystal.  gl2's eps
-# step and gl3's phi step have no golden: eps and phi are read off the
-# same arrows they are checked along, so eps(v) = eps(u) - 1 holds on
-# every e-arrow u -> v whose strings are both finite.
+# step and gl3's phi step are no longer checked, because they cannot
+# fail: eps and phi are read off the same arrows they are checked along,
+# so eps(v) = eps(u) - 1 holds on every e-arrow u -> v whose strings are
+# both finite (and phi likewise along f).
 _PLANTS = [("f", 1, "11", None), ("e", 2, "13", "24"), ("f", 3, "13", "13"),
            ("e", 3, "44", "33"), ("f", "b1", "11", "11"),
            ("e", "b1", "23", "14"), ("e", "b1", "21", "14")]

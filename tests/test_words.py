@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrystal import words
 from qcrystal.typeb import parse_word as W
@@ -53,11 +55,24 @@ def test_even_operators_match_tensor_oracle(n, m):
             assert words.f_even(i, w) == f_tensor(i, w), (i, w)
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (2, 4), (3, 3), (3, 5)])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 4), (3, 3), (3, 5), (3, 8)])
 def test_odd_operators_match_tensor_oracle(n, m):
     for w in all_words(n, m):
         assert words.e_bar1(w) == e_bar_tensor(w), w
         assert words.f_bar1(w) == f_bar_tensor(w), w
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=12, max_size=12))
+def test_operators_match_tensor_oracle_n6_length12(letters):
+    # beyond the exhaustive cases above: n = 6, words of length 12.  The
+    # oracle recurses on every prefix (tens of ms a word), so 50 examples
+    w = tuple(letters)
+    for i in range(1, 6):
+        assert words.e_even(i, w) == e_tensor(i, w), i
+        assert words.f_even(i, w) == f_tensor(i, w), i
+    assert words.e_bar1(w) == e_bar_tensor(w)
+    assert words.f_bar1(w) == f_bar_tensor(w)
 
 
 def test_bracketing_matches_literal_pair_removal():
