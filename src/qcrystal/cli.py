@@ -111,8 +111,29 @@ def _graph_component(args) -> engine.CrystalGraph:
     return models.fact_component(seed, args.m)
 
 
+def _read_options(args, selector: str, table) -> dict:
+    """The options that the chosen --<selector> reads, by name; table pairs
+    each option with the choices that read it, and any other is an error."""
+    choice = getattr(args, selector)
+    read = {}
+    for name, choices in table:
+        value = getattr(args, name)
+        if choice in choices:
+            read[name] = value
+        elif value is not None and value is not False:
+            raise ValueError(f"--{name} only applies to --{selector} "
+                             + " or ".join(choices))
+    return read
+
+
+# graph options that only some models read, with those models
+_MODEL_OPTIONS = (("n", ("words", "pt", "ssdt")), ("m", ("spt", "fact")),
+                  ("shape", ("pt", "ssdt", "spt")), ("perm", ("fact",)))
+
+
 def cmd_graph(args) -> int:
     _at_least_one(args, ["n", "m"])
+    _read_options(args, "model", _MODEL_OPTIONS)
     g = _graph_component(args)
     if args.format == "dot":
         sys.stdout.write(engine.to_dot(g))
@@ -121,8 +142,15 @@ def cmd_graph(args) -> int:
     return 0
 
 
+# enumerate options that only some families read, with those families
+_FAMILY_OPTIONS = (("n", ("pt", "ssdt")), ("m", ("factorizations",)),
+                   ("shape", ("pt", "ssdt")),
+                   ("perm", ("reduced", "factorizations")))
+
+
 def cmd_enumerate(args) -> int:
     _at_least_one(args, ["n", "m"])
+    _read_options(args, "what", _FAMILY_OPTIONS)
     if args.what == "reduced":
         _require(args, ["perm"])
         items = [typeb.fmt_word(w)
@@ -152,14 +180,7 @@ _SUITE_OPTIONS = (("corrupt", ("axioms",)), ("perm", ("equivalence", "all")),
 
 def cmd_verify(args) -> int:
     _at_least_one(args, ["n", "max-size", "m"])
-    kw = {}
-    for name, suites in _SUITE_OPTIONS:
-        value = getattr(args, name)
-        if args.suite in suites:
-            kw[name] = value
-        elif value is not None and value is not False:
-            raise ValueError(f"--{name} only applies to --suite "
-                             + " or ".join(suites))
+    kw = _read_options(args, "suite", _SUITE_OPTIONS)
     if "perm" in kw:
         kw["perm"] = (None if args.perm is None
                       else typeb.parse_perm(args.perm))

@@ -6,6 +6,10 @@ signed variants and factorizations wrap those in sign bookkeeping and
 insertion transport.  Each builder fixes n (the number of weight
 coordinates) and a canonical text form for vertices.  fact_component
 closes a factorization component on its recording tableau.
+
+Every operator output is checked against its family; model_ssdt checks
+each distinct output once per instance, through a private set that grows
+with the instance's distinct outputs (see model_ssdt).
 """
 
 from . import engine
@@ -44,26 +48,36 @@ def _ssdt_recut(t: Rows, letters) -> Rows:
     return tuple(out)
 
 
-def _ssdt_op(op, t: Rows):
+def _ssdt_op(op, t: Rows, valid: set):
     out = op(tb.rw_ssdt(t))
     if out is None:
         return None
     t2 = _ssdt_recut(t, out)
-    msg = tb.validate_ssdt(t2)
-    if msg is not None:
-        raise tb.InvariantError(f"operator left the family: {msg}")
+    if t2 not in valid:
+        msg = tb.validate_ssdt(t2)
+        if msg is not None:
+            raise tb.InvariantError(f"operator left the family: {msg}")
+        valid.add(t2)
     return t2
 
 
 def model_ssdt(n: int) -> CrystalModel:
-    """Decomposition tableaux; operators act through the reading word."""
+    """Decomposition tableaux; operators act through the reading word.
+
+    Each distinct output is checked once: the instance keeps a private set
+    of the outputs that passed tb.validate_ssdt, a pure function of the
+    rows, so skipping a member is exact.  A failing output is never added
+    and raises on every call.  The set grows with the instance's distinct
+    outputs, one entry per vertex of a closed component.
+    """
+    valid: set[Rows] = set()
     return CrystalModel(
         n=n,
-        e=lambda i, t: _ssdt_op(lambda w: words.e_even(i, w), t),
-        f=lambda i, t: _ssdt_op(lambda w: words.f_even(i, w), t),
+        e=lambda i, t: _ssdt_op(lambda w: words.e_even(i, w), t, valid),
+        f=lambda i, t: _ssdt_op(lambda w: words.f_even(i, w), t, valid),
         weight=lambda t: tb.ssdt_weight(t, n),
-        e_bar=(lambda t: _ssdt_op(words.e_bar1, t)) if n >= 2 else None,
-        f_bar=(lambda t: _ssdt_op(words.f_bar1, t)) if n >= 2 else None,
+        e_bar=(lambda t: _ssdt_op(words.e_bar1, t, valid)) if n >= 2 else None,
+        f_bar=(lambda t: _ssdt_op(words.f_bar1, t, valid)) if n >= 2 else None,
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
     )

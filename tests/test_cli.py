@@ -374,3 +374,32 @@ def test_verify_rejects_options_the_suite_ignores(capsys, suite, option,
     assert out == ""
     assert err == (f"error: {option} only applies to --suite equivalence "
                    "or all\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["graph", "--model", "ssdt", "--n", "3", "--shape", "2,1", "--m", "7"],
+     "--m only applies to --model spt or fact"),
+    (["graph", "--model", "words", "--n", "2", "--seed", "1", "--shape", "3"],
+     "--shape only applies to --model pt or ssdt or spt"),
+    (["graph", "--model", "fact", "--perm", "2,1", "--m", "2", "--n", "9"],
+     "--n only applies to --model words or pt or ssdt"),
+    (["graph", "--model", "spt", "--m", "2", "--shape", "2,1", "--perm", ""],
+     "--perm only applies to --model fact"),
+    (["enumerate", "--what", "pt", "--n", "2", "--shape", "2", "--perm", "1"],
+     "--perm only applies to --what reduced or factorizations"),
+    (["enumerate", "--what", "reduced", "--perm", "2,1", "--m", "2"],
+     "--m only applies to --what factorizations"),
+    (["enumerate", "--what", "factorizations", "--perm", "2,1", "--m", "2",
+      "--shape", "1"], "--shape only applies to --what pt or ssdt"),
+    (["enumerate", "--what", "reduced", "--perm", "2,1", "--n", "2"],
+     "--n only applies to --what pt or ssdt"),
+], ids=["graph-ssdt-m", "graph-words-shape", "graph-fact-n",
+        "graph-spt-perm-empty", "enumerate-pt-perm", "enumerate-reduced-m",
+        "enumerate-factorizations-shape", "enumerate-reduced-n"])
+def test_graph_and_enumerate_reject_options_they_ignore(capsys, argv,
+                                                        message):
+    # these used to exit 0, the option silently ignored
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

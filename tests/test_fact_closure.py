@@ -16,21 +16,24 @@ GRAPH_FACT_ARGV = ["graph", "--model", "fact", "--perm", "2,-3,1", "--m", "4",
                    "--format", "json"]
 
 
+def all_components(perm, m):
+    """Seed, m and graph of every component of perm's factorizations."""
+    out = []
+    seen = set()
+    for b in typeb.enumerate_factorizations(perm, m):
+        if b not in seen:
+            g = models.fact_component(b, m)
+            seen.update(g.vertices)
+            out.append((b, m, g))
+    return out
+
+
 def rank3_components():
     """Seed and m of every rank-3 component with m <= 2, or m = 3 and
     length <= 4."""
-    out = []
-    for perm in typeb.enumerate_perms(3):
-        for m in (1, 2, 3):
-            if m == 3 and typeb.length(perm) > 4:
-                continue
-            seen = set()
-            for b in typeb.enumerate_factorizations(perm, m):
-                if b not in seen:
-                    g = models.fact_component(b, m)
-                    seen.update(g.vertices)
-                    out.append((b, m, g))
-    return out
+    return [c for perm in typeb.enumerate_perms(3) for m in (1, 2, 3)
+            if m < 3 or typeb.length(perm) <= 4
+            for c in all_components(perm, m)]
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,36 @@ def test_components_pass_the_q_axioms(components):
     for _, m, g in components:
         check = engine.check_q_axioms if m > 1 else engine.check_gl_axioms
         report = check(g)
+        assert report["failures"] == []
+        assert report["checked"] == len(g)
+
+
+@pytest.fixture(scope="module")
+def rank5_components():
+    """Every component of 1,-5,2,3,4 with m = 2 and 3 and of -5,1,3,2,4
+    with m = 3, and the greedy seed's component of 2,3,5,-1,4 with m = 4.
+    Each reduced word uses all five generators s_0..s_4."""
+    out = [c for perm, m in [((1, -5, 2, 3, 4), 2), ((1, -5, 2, 3, 4), 3),
+                             ((-5, 1, 3, 2, 4), 3)]
+           for c in all_components(perm, m)]
+    seed = models.seed_factorization((2, 3, 5, -1, 4), 4)
+    return out + [(seed, 4, models.fact_component(seed, 4))]
+
+
+def test_rank5_components_match_oracle(rank5_components):
+    assert len(rank5_components) == 2 + 2 + 6 + 1
+    assert [len(g) for _, _, g in rank5_components] == [
+        12, 12, 73, 73, 80, 80, 73, 73, 80, 80, 204]
+    for seed, m, g in rank5_components:
+        want = engine.component(models.model_fact(m), seed)
+        assert g.vertices == want.vertices
+        assert list(g.f_edges.items()) == list(want.f_edges.items())
+        assert list(g.e_edges.items()) == list(want.e_edges.items())
+
+
+def test_rank5_components_pass_the_q_axioms(rank5_components):
+    for _, _, g in rank5_components:
+        report = engine.check_q_axioms(g)
         assert report["failures"] == []
         assert report["checked"] == len(g)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -148,3 +149,52 @@ def test_invariant_check_survives_optimize_flag():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised operator left the family: planted fault\n"
+
+
+def test_ssdt_validates_each_distinct_output_once(monkeypatch):
+    # validate_ssdt is a pure function of the rows, so an instance checks
+    # each distinct operator output once; a second instance checks again
+    seed = models.highest_ssdt(4, (3, 1))
+    real = tb.validate_ssdt
+    checked = []
+
+    def counting(rows, n=None):
+        checked.append(rows)
+        return real(rows, n)
+
+    monkeypatch.setattr(tb, "validate_ssdt", counting)
+    for _ in range(2):
+        checked.clear()
+        model = models.model_ssdt(4)
+        outputs = set()
+        model = dataclasses.replace(model, **{
+            op: _recording(getattr(model, op), outputs)
+            for op in ("e", "f", "e_bar", "f_bar")})
+        g = engine.component(model, seed)
+        assert len(g) == 80
+        assert outputs == set(g.vertices)
+        assert sorted(checked) == sorted(outputs)
+
+
+def _recording(op, outputs):
+    def recorded(*args):
+        out = op(*args)
+        if out is not None:
+            outputs.add(out)
+        return out
+    return recorded
+
+
+def test_ssdt_output_that_fails_is_never_cached(monkeypatch):
+    hi = models.highest_ssdt(3, (2, 1))
+    bad = models.model_ssdt(3).f(1, hi)
+    real = tb.validate_ssdt
+    monkeypatch.setattr(
+        tb, "validate_ssdt",
+        lambda rows, n=None: "planted fault" if rows == bad else real(rows, n))
+    model = models.model_ssdt(3)
+    assert model.f(2, hi) is not None
+    for _ in range(2):
+        with pytest.raises(tb.InvariantError,
+                           match="operator left the family: planted fault"):
+            model.f(1, hi)
