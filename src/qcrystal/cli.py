@@ -80,26 +80,26 @@ def _graph_component(args) -> engine.CrystalGraph:
         return engine.component(models.model_words(args.n), seed)
     if args.model == "pt":
         _require(args, ["n", "shape"])
-        seed = (tb.parse_primed(args.seed) if args.seed
+        seed = (tb.parse_primed(args.seed) if args.seed is not None
                 else ptops.highest_pt(args.n, args.shape))
         _check_seed(seed, tb.validate_pt(seed, n=args.n), args.shape)
         return engine.component(models.model_pt(args.n), seed)
     if args.model == "ssdt":
         _require(args, ["n", "shape"])
-        seed = (tb.parse_plain(args.seed) if args.seed
+        seed = (tb.parse_plain(args.seed) if args.seed is not None
                 else models.highest_ssdt(args.n, args.shape))
         _check_seed(seed, tb.validate_ssdt(seed, n=args.n), args.shape)
         return engine.component(models.model_ssdt(args.n), seed)
     if args.model == "spt":
         _require(args, ["m", "shape"])
-        seed = (tb.parse_primed(args.seed) if args.seed
+        seed = (tb.parse_primed(args.seed) if args.seed is not None
                 else ptops.highest_pt(args.m, args.shape))
         msg = tb.validate_pt(seed, n=args.m, diagonal_unprimed=False)
         _check_seed(seed, msg, args.shape)
         return engine.component(models.model_spt(args.m), seed)
     _require(args, ["perm", "m"])
     perm = typeb.parse_perm(args.perm)
-    seed = (typeb.parse_factorization(args.seed) if args.seed
+    seed = (typeb.parse_factorization(args.seed) if args.seed is not None
             else models.seed_factorization(perm, args.m))
     if len(seed) != args.m:
         raise ValueError(f"seed has {len(seed)} factors, expected {args.m}")

@@ -95,7 +95,15 @@ class CrystalGraph:
 def _cap_from_env(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get("QCRYSTAL_MAX_VERTICES", DEFAULT_CAP))
+    text = os.environ.get("QCRYSTAL_MAX_VERTICES", str(DEFAULT_CAP))
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"QCRYSTAL_MAX_VERTICES must be an integer >= 1, not {text!r}")
+    return value
 
 
 def component(model: CrystalModel, seed: Element,

@@ -1,19 +1,21 @@
 """Semistandard shifted mixed insertion.
 
-Letters of a word over 1..n are inserted one at a time.  A letter
-enters row 0; insertion into a row bumps the leftmost strictly greater
-entry, insertion into a column bumps the topmost strictly greater
-entry, and an entry bumped off the main diagonal is primed and sent to
-the column on its right.  Row insertions always carry unprimed values
-and column insertions primed ones, so the recording tableau stays
-plain: the kind of the final placement can be read off the primality
-of the new insertion-tableau entry.
+Letters of a word over 1..n are inserted one at a time.  A *line* is a
+row or a column of the shifted shape; an unprimed value is inserted
+into a row and a primed value into a column.  One bump rule serves
+both: the value bumps the first entry of its line that is strictly
+greater, or else fills the cell just past the line's end.  A bumped
+entry u at (r, c) goes to column c + 1, as u' if it sat on the main
+diagonal and as itself if primed, and otherwise to row r + 1.  So the
+recording tableau stays plain: the kind of the final placement can be
+read off the primality of the new insertion-tableau entry.
 
-hm_inverse undoes the chains cell by cell.  The reverse steps are
-reconstructed from forward determinism (the bumper of v sits at the
-rightmost row entry, or bottommost column entry, smaller than v, and
-the bumper's own placement mode is its primality); every recovered
-word is re-inserted and compared, so off-image pairs always raise.
+hm_inverse undoes the chains cell by cell with one predecessor rule:
+v came from the last entry u < v of the line before its own (row or
+column k - 1), and u then moves on by the forward routing.  Only a
+column chain may step back onto the diagonal, where v is unprimed
+back and u must be unprimed.  Every recovered word is re-inserted and
+compared, so off-image pairs always raise.
 """
 
 from __future__ import annotations
@@ -25,65 +27,38 @@ from qcrystal import tableaux as tb
 from qcrystal.tableaux import InvariantError, NotInImage, Rows
 
 
+def _line(work: list[list[int]], column: bool, k: int) -> list[tuple[int, int]]:
+    """The cells of column k top to bottom, or of row k left to right."""
+    if column:
+        return [(r, k) for r, row in enumerate(work) if r <= k < r + len(row)]
+    return [(k, c) for c in range(k, k + len(work[k]))] if k < len(work) else []
+
+
 # ---------------------------------------------------------------------------
 # forward
 
 def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
     """One insertion; returns the new tableau and the added cell (0-based)."""
     work = [list(r) for r in rows]
-    mode, k, v = "row", 0, tb.code(letter, False)
+    k, v = 0, tb.code(letter, False)
     while True:
-        if mode == "row":
-            if k == len(work):
-                work.append([v])
-                cell = (k, k)
-                break
-            row = work[k]
-            j = bisect_right(row, v)
-            if j == len(row):
-                row.append(v)
-                cell = (k, k + len(row) - 1)
-                break
-            c = k + j
-            u = row[j]
-            row[j] = v
-            if c == k:
-                mode, k, v = "col", c + 1, u - 1  # primed off the diagonal
-            elif tb.code_primed(u):
-                mode, k, v = "col", c + 1, u
-            else:
-                mode, k, v = "row", k + 1, u
-        else:
-            col_rows = [
-                r for r in range(len(work)) if r <= k < r + len(work[r])
-            ]
-            target = None
-            for r in col_rows:
-                if work[r][k - r] > v:
-                    target = r
-                    break
-            if target is None:
-                r_new = col_rows[-1] + 1 if col_rows else 0
-                if r_new == len(work):
-                    if r_new != k:
-                        raise InvariantError(
-                            "column append fell off the staircase")
-                    work.append([v])
-                else:
-                    if r_new + len(work[r_new]) != k:
-                        raise InvariantError(
-                            "column append is not adjacent to its row")
-                    work[r_new].append(v)
-                cell = (r_new, k)
-                break
-            u = work[target][k - target]
-            work[target][k - target] = v
-            if target == k:
-                mode, k, v = "col", k + 1, u - 1
-            elif tb.code_primed(u):
-                mode, k, v = "col", k + 1, u
-            else:
-                mode, k, v = "row", target + 1, u
+        column = tb.code_primed(v)
+        cells = _line(work, column, k)
+        j = bisect_right([work[r][c - r] for r, c in cells], v)
+        if j == len(cells):
+            break
+        r, c = cells[j]
+        u, work[r][c - r] = work[r][c - r], v
+        if r == c:
+            u -= 1  # primed off the diagonal
+        k, v = (c + 1 if tb.code_primed(u) else r + 1), u
+    r, c = cell = (len(cells), k) if column else (k, k + len(cells))
+    if r == len(work) == c:
+        work.append([v])
+    elif r < len(work) and c == r + len(work[r]):
+        work[r].append(v)
+    else:
+        raise InvariantError(f"insertion cell {cell} is off the shifted shape")
     frozen = tb.freeze(work)
     msg = tb.validate_pt(frozen)
     if msg is not None:
@@ -117,61 +92,32 @@ def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
 def _reverse_chain(rows: Rows, r: int, c: int) -> tuple[Rows, int]:
     """Undo the insertion chain that ended by filling cell (r, c)."""
     work = [list(row) for row in rows]
-    v = work[r][c - r]
-    if len(work[r]) == c - r + 1:
-        if c - r == 0:
-            work.pop()
-        else:
-            work[r].pop()
-    else:
+    if len(work[r]) != c - r + 1:
         raise NotInImage("chain must start at the end of a row")
-    mode, k = ("col", c) if tb.code_primed(v) else ("row", r)
-    while True:
-        if mode == "row":
-            if tb.code_primed(v):
-                raise NotInImage("primed value in a row chain")
-            if k == 0:
-                letter = tb.code_value(v)
-                break
-            row = work[k - 1]
-            j = bisect_left(row, v) - 1
-            if j < 0:
-                raise NotInImage(f"no row predecessor for {tb.letter_str(v)}")
-            if j == 0:
+    v = work[r].pop()
+    if not work[r]:
+        work.pop()
+    k = c if tb.code_primed(v) else r
+    while k:
+        column = tb.code_primed(v)
+        cells = _line(work, column, k - 1)
+        j = bisect_left([work[r][c - r] for r, c in cells], v) - 1
+        if j < 0:
+            kind = "column" if column else "row"
+            raise NotInImage(f"no {kind} predecessor for {tb.letter_str(v)}")
+        r, c = cells[j]
+        u = work[r][c - r]
+        if r == c:
+            if not column:
                 raise NotInImage("row chain traced back to the diagonal")
-            u = row[j]
-            row[j] = v
             if tb.code_primed(u):
-                mode, k, v = "col", (k - 1) + j, u
-            else:
-                mode, k, v = "row", k - 1, u
-        else:
-            if not tb.code_primed(v):
-                raise NotInImage("unprimed value in a column chain")
-            if k == 0:
-                raise NotInImage("column chain reached column 0")
-            col = [
-                (r2, work[r2][k - 1 - r2])
-                for r2 in range(len(work))
-                if r2 <= k - 1 < r2 + len(work[r2])
-            ]
-            below = [(r2, u) for r2, u in col if u < v]
-            if not below:
-                raise NotInImage(f"no column predecessor for {tb.letter_str(v)}")
-            rb, u = below[-1]
-            if rb == k - 1:
-                # v was primed while crossing the diagonal; unprime it
-                work[rb][0] = v + 1
-                if tb.code_primed(u):
-                    raise NotInImage("primed occupant on the diagonal")
-                mode, k, v = "row", rb, u
-            else:
-                work[rb][k - 1 - rb] = v
-                if tb.code_primed(u):
-                    mode, k, v = "col", k - 1, u
-                else:
-                    mode, k, v = "row", rb, u
-    return tb.freeze(work), letter
+                raise NotInImage("primed occupant on the diagonal")
+            v += 1  # v was primed while crossing the diagonal; unprime it
+        work[r][c - r] = v
+        k, v = (c if tb.code_primed(u) else r), u
+    if tb.code_primed(v):
+        raise NotInImage("column chain reached column 0")
+    return tb.freeze(work), tb.code_value(v)
 
 
 def hm_inverse(p: Rows, q: Rows) -> tuple[int, ...]:

@@ -135,12 +135,13 @@ def is_reduced(word: Sequence[int], n: Optional[int] = None) -> bool:
 
 
 def right_descents(perm: Perm) -> list[int]:
-    """Generators i with length(perm * s_i) < length(perm)."""
-    return [
-        i
-        for i in range(len(perm))
-        if length(apply_gen(perm, i)) < length(perm)
-    ]
+    """Generators i with length(perm * s_i) < length(perm).
+
+    As in is_reduced, s_0 is a descent iff w(1) < 0 and s_i (i >= 1)
+    iff w(i) > w(i+1).
+    """
+    return [i for i in range(len(perm))
+            if (perm[i - 1] > perm[i] if i else perm[0] < 0)]
 
 
 def enumerate_reduced(perm: Perm) -> list[tuple[int, ...]]:

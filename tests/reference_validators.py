@@ -3,10 +3,10 @@
 These are straightforward implementations kept as oracles for the faster
 kernels in ``qcrystal.tableaux``, ``qcrystal.typeb`` and
 ``qcrystal.kraskiewicz``: the three-loop longest hook/unimodal subword,
-hooks and unimodal words split into two slices, reducedness as a length
-count, and columns probed cell by cell through ``get``.  Each validator
-must return exactly what its library counterpart returns: None, or the
-same first-violation message.
+hooks and unimodal words split into two slices, reducedness and right
+descents as length counts, and columns probed cell by cell through
+``get``.  Each validator must return exactly what its library
+counterpart returns: None, or the same first-violation message.
 """
 
 from typing import Optional, Sequence
@@ -56,6 +56,12 @@ def is_unimodal(w: Sequence[int]) -> bool:
 def is_reduced(word: Sequence[int], n: Optional[int] = None) -> bool:
     """The word's length equals the Coxeter length of its product."""
     return len(word) == typeb.length(typeb.apply_word(word, n))
+
+
+def right_descents(perm) -> list[int]:
+    """Generators i with length(perm * s_i) < length(perm), by length."""
+    return [i for i in range(len(perm))
+            if typeb.length(typeb.apply_gen(perm, i)) < typeb.length(perm)]
 
 
 def longest_vee_len(w: Sequence[int], strict_dec: bool) -> int:

@@ -90,6 +90,31 @@ def test_graph_cap_exceeded(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "2.5", "0", "-3", ""])
+def test_bad_vertex_cap_exits_2(capsys, monkeypatch, cap):
+    # the one-vertex component of the empty word fits any cap >= 1, so
+    # only the cap itself can be at fault
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", cap)
+    code, out, err = run(capsys, "graph", "--model", "words",
+                         "--n", "3", "--seed", "")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: QCRYSTAL_MAX_VERTICES must be an integer >= 1, "
+                   f"not {cap!r}\n")
+
+
+def test_vertex_cap_of_one_holds_the_seed(capsys, monkeypatch):
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", "1")
+    code, out, _ = run(capsys, "graph", "--model", "words",
+                       "--n", "3", "--seed", "")
+    assert code == 0
+    assert dot_vertices(out) == ['  "";']
+    code, out, err = run(capsys, "graph", "--model", "words",
+                         "--n", "3", "--seed", "1")
+    assert code == 3
+    assert err == "error: component exceeded the vertex cap 1\n"
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     real = tb.validate_ssdt
 
@@ -250,9 +275,16 @@ def test_bad_shape_trailing_comma(capsys):
     ["insert", "--algo", "hm", "0"],
     ["verify", "--suite", "all", "--n", "0"],
     ["verify", "--suite", "all", "--max-size", "-1"],
+    # empty text is a seed, not the absence of one
+    ["graph", "--model", "pt", "--n", "3", "--shape", "2,1", "--seed", ""],
+    ["graph", "--model", "ssdt", "--n", "3", "--shape", "2,1", "--seed", ""],
+    ["graph", "--model", "spt", "--m", "3", "--shape", "2,1", "--seed", ""],
+    ["graph", "--model", "fact", "--perm", "3,2,-1", "--m", "2",
+     "--seed", ""],
 ], ids=["pt-range", "pt-shape", "spt-range", "words-letter",
         "fact-perm", "ssdt-invalid", "hm-zero", "verify-n0",
-        "verify-size-neg"])
+        "verify-size-neg", "pt-seed-empty", "ssdt-seed-empty",
+        "spt-seed-empty", "fact-seed-empty"])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_insertion as ref
 from qcrystal import kraskiewicz as kw
 from qcrystal import mixed, words
 from qcrystal import tableaux as tb
+from qcrystal.tableaux import InvariantError, NotInImage
 from qcrystal.typeb import parse_word as W
 
 
@@ -128,3 +130,77 @@ def test_hm_inverse_rejects_bad_input():
         mixed.hm_inverse(tb.parse_primed("2'"), tb.parse_plain("1"))
     with pytest.raises(mixed.NotInImage):
         mixed.hm_inverse(tb.parse_primed("1 1"), tb.parse_plain("2 1"))
+
+
+# ---------------------------------------------------------------------------
+# the one-rule insertion against the oracle with row and column branches
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotInImage, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def test_hm_matches_reference():
+    # words over 1..4 include those over 1..n for every n <= 4
+    for m in range(7):
+        for w in all_words(4, m):
+            assert mixed.hm(w) == ref.hm(w), w
+
+
+def test_hm_inverse_matches_reference():
+    # primed and signed primed tableaux over 1'..4: the signed ones with a
+    # primed diagonal are off the image
+    pairs = 0
+    for shape in tb.strict_partitions(5):
+        sts = tb.enumerate_st(shape)
+        for p in tb.enumerate_pt(4, shape, diagonal_unprimed=False):
+            for q in sts:
+                assert (_outcome(mixed.hm_inverse, p, q)
+                        == _outcome(ref.hm_inverse, p, q)), (p, q)
+                pairs += 1
+    assert pairs == 4776
+
+
+def _chains_agree(rows):
+    """One reverse chain from every cell; returns the outcomes."""
+    out = []
+    for r, c in tb.shape_cells(tb.shape_of(rows)):
+        got = _outcome(mixed._reverse_chain, rows, r, c)
+        assert got == _outcome(ref._hm_reverse_chain, rows, r, c), (rows, r, c)
+        out.append(got)
+    return out
+
+
+def test_reverse_chain_matches_reference_on_signed_tableaux():
+    # one chain from every cell, corner or not
+    for shape in tb.strict_partitions(6):
+        for p in tb.enumerate_pt(4, shape, diagonal_unprimed=False):
+            _chains_agree(p)
+
+
+def test_reverse_chain_matches_reference_off_the_image():
+    # fillings by 1'..3 with weakly increasing rows and columns, so that
+    # every way a chain can fail is reached
+    messages = set()
+    for shape in tb.strict_partitions(5):
+        cells = list(tb.shape_cells(shape))
+        for values in itertools.product(range(1, 7), repeat=len(cells)):
+            entry = dict(zip(cells, values))
+            if any(entry[r, c] > entry.get((r, c + 1), 7)
+                   or entry[r, c] > entry.get((r + 1, c), 7)
+                   for r, c in cells):
+                continue
+            rows = tb.from_cells(shape, entry)
+            for got in _chains_agree(rows):
+                if got[0] is NotInImage:
+                    messages.add(got[1].split(" for ")[0])
+    assert messages == {
+        "chain must start at the end of a row",
+        "no row predecessor",
+        "row chain traced back to the diagonal",
+        "no column predecessor",
+        "primed occupant on the diagonal",
+        "column chain reached column 0",
+    }

@@ -118,6 +118,16 @@ def test_is_reduced_matches_reference_property(case):
     assert typeb.is_reduced(w[:-1], n)
 
 
+def test_right_descents_match_reference_exhaustively():
+    # every signed permutation of rank 1..5
+    count = 0
+    for n in range(1, 6):
+        for perm in typeb.enumerate_perms(n):
+            assert typeb.right_descents(perm) == ref.right_descents(perm), perm
+            count += 1
+    assert count == 4282
+
+
 def test_enumerate_reduced_example():
     words = typeb.enumerate_reduced((3, 2, -1))
     assert words == [(0, 1, 2, 1), (0, 2, 1, 2), (2, 0, 1, 2)]
