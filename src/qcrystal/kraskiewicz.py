@@ -15,13 +15,12 @@ Plain insertion kr is pkr on one-letter factors signed +, whose
 recording tableau is 2Q for a standard tableau Q.
 
 pkr has the one letter-by-letter loop and pkr_inverse the one reverse
-search: it reconstructs each bump chain by splitting a row into a
-strictly decreasing and a strictly increasing part and forward-checking
-the local inverses; every extracted factorization is finally re-inserted
-and compared.  The splits run from the start of the row's longest
-strictly increasing suffix to the end of its longest strictly decreasing
-prefix, so a unimodal row has one or two (the valley letter goes either
-way) and any other row none.
+walk, which undoes each bump chain row by row.  A row step keeps the
+product (R·a = b·R' in B_n), so the row and the letter entering it are a
+factor of a reduced word; of the local undoings of a row (split it into
+a strictly decreasing and a strictly increasing part, invert the bumps,
+forward-check) at most one keeps R·a reduced.  One pkr of the result
+confirms it.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -180,43 +179,41 @@ def _row_candidates(row: tuple[int, ...], out: int):
     return cands
 
 
-def _reverse_steps(rows: Rows, r_end: int, c_end: int) -> list:
-    """All (rows', a) whose insertion chain appends the cell (r_end, c_end).
+def _unbump(rows: Rows, r: int, c: int):
+    """Undo the chain that appended the cell (r, c): (rows', a), or None.
 
-    A single row step is not injective -- e.g. inserting 1 into (0, 1)
-    and into (0, 2) both leave the row (2, 1) and pass 0 down -- so a
-    removal can have several local undoings.  The caller must try them
-    all; only one leads back to a reduced word.
+    A row step alone is not injective -- inserting 1 into (0, 1) and
+    into (0, 2) both leave the row (2, 1) and pass 0 down -- but of
+    0 1 1 and 0 2 1 only the second is reduced, and no row keeps more
+    than one reduced undoing.
     """
-    if not (0 <= r_end < len(rows)
-            and c_end == r_end + len(rows[r_end]) - 1
-            and (r_end == len(rows) - 1
-                 or len(rows[r_end]) - 1 > len(rows[r_end + 1]))):
-        return []
+    if not (0 <= r < len(rows)
+            and c == r + len(rows[r]) - 1
+            and (r == len(rows) - 1
+                 or len(rows[r]) - 1 > len(rows[r + 1]))):
+        return None
     work = list(rows)
-    out = work[r_end][-1]
-    if len(work[r_end]) == 1:
+    a = work[r][-1]
+    if len(work[r]) == 1:
         work.pop()
     else:
-        work[r_end] = work[r_end][:-1]
-    solutions = []
-
-    def rec(j: int, state: tuple, val: int):
-        if j < 0:
-            solutions.append((state, val))
-            return
-        for cand_row, cand_a in sorted(_row_candidates(state[j], val)):
-            if not tb.is_unimodal(cand_row):
+        work[r] = work[r][:-1]
+    for j in range(r - 1, -1, -1):
+        found = []
+        for row, b in sorted(_row_candidates(work[j], a)):
+            if not (tb.is_unimodal(row) and typeb.is_reduced(row + (b,))):
                 continue
             try:
-                step = _row_step(cand_row, cand_a)
+                if _row_step(row, b) == ("cont", work[j], a):
+                    found.append((row, b))
             except InsertionError:
-                continue
-            if step == ("cont", state[j], val):
-                rec(j - 1, state[:j] + (cand_row,) + state[j + 1:], cand_a)
-
-    rec(r_end - 1, tuple(work), out)
-    return solutions
+                pass
+        if len(found) > 1:
+            raise InvariantError(f"insertion not injective: {found}")
+        if not found:
+            return None
+        (work[j], a), = found
+    return tuple(work), a
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +288,13 @@ def pkr(fact) -> tuple[Rows, Rows]:
     return rows, t
 
 
-def pkr_inverse(p: Rows, t: Rows, m: Optional[int] = None):
-    """The m-factor signed factorization inserting to (p, t)."""
+def pkr_inverse(p: Rows, t: Rows, m: int):
+    """The m-factor signed factorization inserting to (p, t).
+
+    Factors are undone last first, and each factor's boxes in the reverse
+    of the order pkr made them: the horizontal arm right to left, the
+    corner, then the vertical arm bottom to top.
+    """
     msg = validate_sdt(p)
     if msg is not None:
         raise NotInImage(f"insertion tableau invalid: {msg}")
@@ -302,64 +304,36 @@ def pkr_inverse(p: Rows, t: Rows, m: Optional[int] = None):
     if tb.shape_of(p) != tb.shape_of(t):
         raise NotInImage("shapes differ")
     values = [tb.code_value(v) for row in t for v in row]
-    if m is None:
-        m = max(values, default=0)
-    elif values and max(values) > m:
+    if values and max(values) > m:
         raise NotInImage(f"factor number {max(values)} exceeds m={m}")
-    steps = []  # removal cells, last factor first, each arm end-to-corner
-    factor_info = {}  # fi -> (sign, number of letters)
     t_cells = tb.cell_map(t)
+    rows, factors = p, []
     for fi in range(m, 0, -1):
-        marked = [(cell, tb.code_primed(v)) for cell, v in t_cells.items()
-                  if tb.code_value(v) == fi]
-        if not marked:
-            factor_info[fi] = (0, 0)
-            continue
-        bottom = max((c for c, _ in marked), key=lambda rc: (rc[0], -rc[1]))
-        primality = dict(marked)
-        sign = -1 if primality[bottom] else 1
-        vertical = sorted(
-            c for c, pr in marked if pr and c != bottom
-        )
-        horizontal = sorted(
-            (c for c, pr in marked if not pr and c != bottom),
-            key=lambda rc: rc[1],
-        )
-        seq = vertical + [bottom] + horizontal
-        factor_info[fi] = (sign, len(seq))
-        steps.extend(reversed(seq))
-
-    def assemble(letters: list):
-        factors = []
-        pos = 0
-        for fi in range(m, 0, -1):
-            sign, count = factor_info[fi]
-            chunk = letters[pos:pos + count]
-            pos += count
-            factors.append((sign, tuple(reversed(chunk))))
-        return tuple(reversed(factors))
-
-    survivors = []
-
-    def rec(rows: Rows, i: int, letters: list):
-        if i == len(steps):
-            fact = assemble(letters)
-            try:
-                if pkr(fact) == (p, t):
-                    survivors.append(fact)
-            except ValueError:
-                pass
-            return
-        r, c = steps[i]
-        for new_rows, letter in _reverse_steps(rows, r, c):
-            rec(new_rows, i + 1, letters + [letter])
-
-    rec(p, 0, [])
-    if not survivors:
-        raise NotInImage("no factorization inserts to the pair")
-    if len(survivors) != 1:
-        raise InvariantError(f"insertion not injective: {survivors}")
-    return survivors[0]
+        primality = {cell: tb.code_primed(v) for cell, v in t_cells.items()
+                     if tb.code_value(v) == fi}
+        sign, letters = 0, []
+        if primality:
+            bottom = max(primality, key=lambda rc: (rc[0], -rc[1]))
+            sign = -1 if primality[bottom] else 1
+            vertical = sorted(
+                c for c, pr in primality.items() if pr and c != bottom)
+            horizontal = sorted(
+                (c for c, pr in primality.items() if not pr and c != bottom),
+                key=lambda rc: rc[1])
+            for r, c in reversed(vertical + [bottom] + horizontal):
+                undone = _unbump(rows, r, c)
+                if undone is None:
+                    raise NotInImage("no factorization inserts to the pair")
+                rows, a = undone
+                letters.append(a)
+        factors.append((sign, tuple(reversed(letters))))
+    fact = tuple(reversed(factors))
+    try:
+        if pkr(fact) == (p, t):
+            return fact
+    except ValueError:
+        pass
+    raise NotInImage("no factorization inserts to the pair")
 
 
 # ---------------------------------------------------------------------------

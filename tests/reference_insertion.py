@@ -2,10 +2,12 @@
 
 ``kr`` inserts letter by letter and records each new box's step number;
 ``kr_inverse`` removes boxes in decreasing order of Q, tries every
-local undoing of each bump chain, and re-inserts every leaf.  They are
-kept as oracles for ``qcrystal.kraskiewicz.kr``/``kr_inverse``, which
-run the primed insertion on one-letter factors instead.  The row step
-and its local inverses are the library's own.
+local undoing of each bump chain (``reverse_steps``, a search with no
+reducedness test), and re-inserts every leaf.  They are kept as oracles
+for ``qcrystal.kraskiewicz.kr``/``kr_inverse``, which run the primed
+insertion on one-letter factors and undo each chain along its one
+reduced path instead.  The row step and its local inverses are the
+library's own.
 
 ``row_candidates`` and ``vee_bottom_cells`` are the plain forms of the
 library's kernels: the first tries every split of the row and keeps the
@@ -23,7 +25,8 @@ from typing import Optional, Sequence
 from qcrystal import tableaux as tb
 from qcrystal import typeb
 from qcrystal.kraskiewicz import (
-    _has_101, _insert, _reverse_steps, validate_sdt)
+    InsertionError, _has_101, _insert, _row_candidates, _row_step,
+    validate_sdt)
 from qcrystal.tableaux import InvariantError, NotInImage, Rows
 from reference_validators import strictly_increasing
 
@@ -97,6 +100,45 @@ def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
     return p, q
 
 
+def reverse_steps(rows: Rows, r_end: int, c_end: int) -> list:
+    """All (rows', a) whose insertion chain appends the cell (r_end, c_end).
+
+    A single row step is not injective -- e.g. inserting 1 into (0, 1)
+    and into (0, 2) both leave the row (2, 1) and pass 0 down -- so a
+    removal can have several local undoings.  The caller must try them
+    all; only one leads back to a reduced word.
+    """
+    if not (0 <= r_end < len(rows)
+            and c_end == r_end + len(rows[r_end]) - 1
+            and (r_end == len(rows) - 1
+                 or len(rows[r_end]) - 1 > len(rows[r_end + 1]))):
+        return []
+    work = list(rows)
+    out = work[r_end][-1]
+    if len(work[r_end]) == 1:
+        work.pop()
+    else:
+        work[r_end] = work[r_end][:-1]
+    solutions = []
+
+    def rec(j: int, state: tuple, val: int):
+        if j < 0:
+            solutions.append((state, val))
+            return
+        for cand_row, cand_a in sorted(_row_candidates(state[j], val)):
+            if not tb.is_unimodal(cand_row):
+                continue
+            try:
+                step = _row_step(cand_row, cand_a)
+            except InsertionError:
+                continue
+            if step == ("cont", state[j], val):
+                rec(j - 1, state[:j] + (cand_row,) + state[j + 1:], cand_a)
+
+    rec(r_end - 1, tuple(work), out)
+    return solutions
+
+
 def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     """The reduced word w with kr(w) = (p, q); NotInImage otherwise."""
     msg = validate_sdt(p)
@@ -123,7 +165,7 @@ def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
                 pass
             return
         _, r, c = order[i]
-        for new_rows, letter in _reverse_steps(rows, r, c):
+        for new_rows, letter in reverse_steps(rows, r, c):
             rec(new_rows, i + 1, letters + [letter])
 
     rec(p, 0, [])

@@ -226,6 +226,60 @@ def unimodal_rows(draw):
     return tuple(dec + inc)
 
 
+def _undoings(row, out):
+    """The local undoings of a row step that the reverse walk may take:
+    unimodal, mapping forward to (row, out), and reduced."""
+    found = []
+    for cand, a in sorted(kw._row_candidates(row, out)):
+        if not (tb.is_unimodal(cand) and typeb.is_reduced(cand + (a,))):
+            continue
+        try:
+            if kw._row_step(cand, a) == ("cont", row, out):
+                found.append((cand, a))
+        except kw.InsertionError:
+            pass
+    return found
+
+
+def _unbump_matches(row, out, found):
+    """_unbump, removing a new row (out,) below row, takes the one undoing."""
+    expect = ((found[0][0],), found[0][1]) if found else None
+    return _outcome(kw._unbump, (row, (out,)), 1, 1) == expect
+
+
+def _all_unimodal_rows(n):
+    """Every nonempty unimodal row over 0..n-1: each letter above the
+    valley is absent, in the decreasing part, in the increasing part or
+    in both."""
+    for low in range(n):
+        above = range(low + 1, n)
+        for parts in itertools.product(range(4), repeat=len(above)):
+            dec = tuple(x for x, k in zip(above, parts) if k & 1)
+            inc = tuple(x for x, k in zip(above, parts) if k & 2)
+            yield dec[::-1] + (low,) + inc
+
+
+def test_row_undoing_unique_exhaustively():
+    # a row step keeps the product of the row and the entering letter, so
+    # the true undoing is reduced; no other undoing is
+    pairs = 0
+    for row in _all_unimodal_rows(7):
+        for out in range(7):
+            pairs += 1
+            found = _undoings(row, out)
+            assert len(found) <= 1, (row, out, found)
+            assert _unbump_matches(row, out, found), (row, out)
+    assert pairs == 38227
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(unimodal_rows(), st.integers(0, 13))
+def test_row_undoing_unique_property(row, out):
+    found = _undoings(row, out)
+    assert len(found) <= 1, found
+    assert _unbump_matches(row, out, found)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.one_of(unimodal_rows(),
                  st.lists(st.integers(0, 12), min_size=1, max_size=10)
@@ -313,13 +367,13 @@ def test_pkr_errors():
 def test_pkr_inverse_golden():
     p = tb.parse_plain("2 0 1 3 / 0 1")
     t = tb.parse_primed("1 1 2' 2 / 2' 2")
-    assert kw.pkr_inverse(p, t) == typeb.parse_factorization("(+01)(-2013)")
+    assert (kw.pkr_inverse(p, t, m=2)
+            == typeb.parse_factorization("(+01)(-2013)"))
 
 
 def test_pkr_inverse_trailing_empty_factors():
     p, t = kw.pkr(F("(+0)()"))
     assert kw.pkr_inverse(p, t, m=2) == typeb.parse_factorization("(+0)()")
-    assert kw.pkr_inverse(p, t) == typeb.parse_factorization("(+0)")
 
 
 def test_pkr_roundtrip_u3():
@@ -328,6 +382,34 @@ def test_pkr_roundtrip_u3():
         assert kw.validate_sdt(p, n=3) is None
         assert tb.validate_pt(t, diagonal_unprimed=False) is None
         assert kw.pkr_inverse(p, t, m=3) == fact
+
+
+def test_pkr_inverse_bijective_rank3():
+    # every signed tableau T of sh(P) with entries <= m is reached, and
+    # the reverse walk finds the factorization that inserts to (P, T)
+    pairs = 0
+    for m in (1, 2, 3):
+        table = {}
+        for perm in typeb.enumerate_perms(3):
+            if typeb.length(perm) <= 5:
+                for fact in typeb.enumerate_factorizations(perm, m):
+                    table[kw.pkr(fact)] = fact
+        for p in {p for p, _ in table}:
+            for t in tb.enumerate_pt(m, tb.shape_of(p),
+                                     diagonal_unprimed=False):
+                pairs += 1
+                assert kw.pkr_inverse(p, t, m) == table[p, t], (p, t, m)
+    assert pairs == 3203
+
+
+def test_pkr_inverse_injectivity_check_fires(monkeypatch):
+    # without the reducedness test both (0, 1) 1 and (0, 2) 1 undo the
+    # row (2, 1) passing 0 down
+    monkeypatch.setattr(typeb, "is_reduced", lambda word, n=None: True)
+    with pytest.raises(kw.InvariantError) as exc:
+        kw.kr_inverse(((2, 1), (0,)), ((1, 2), (3,)))
+    assert str(exc.value) == (
+        "insertion not injective: [((0, 1), 1), ((0, 2), 1)]")
 
 
 def test_pkr_roundtrip_short_perms():
