@@ -6,7 +6,8 @@ function, and optionally the odd pair e_bar / f_bar (color "b1").
 Elements may be any hashable values; fmt renders them canonically.
 
 component is the only function that calls these operators: it closes
-a seed into a CrystalGraph (BFS with a vertex cap) holding every arrow.
+a seed into a CrystalGraph (BFS with a vertex cap) holding every arrow,
+and checks each vertex once against the model's family (validate).
 Everything else is read off that graph: the string lengths eps/phi, the
 Weyl group action S_i and the odd colors i-bar (e_bar conjugated by
 S_w), axiom checkers that report every violation, highest/lowest vertex
@@ -21,6 +22,8 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence, Union
+
+from .tableaux import InvariantError
 
 Element = Hashable
 Color = Union[int, str]  # 1..n-1, or "b1" for the odd pair
@@ -46,6 +49,8 @@ class CrystalModel:
     f_bar: Optional[Callable[[Element], Optional[Element]]] = None
     fmt: Callable[[Element], str] = field(default=str)
     name: str = "crystal"
+    # the family check: why an element is not in the family, or None
+    validate: Optional[Callable[[Element], Optional[str]]] = None
 
     @property
     def colors(self) -> list[Color]:
@@ -113,14 +118,16 @@ def component(model: CrystalModel, seed: Element,
     One pass: every vertex gets an id when it is first reached, and f then
     e of each color (the odd pair last) runs on it exactly once, its
     targets kept as ids.  e is applied on its own, never read off the
-    f-arrows, so mispaired operators still fail gl4/q4.  Vertices are then
-    sorted by their canonical encoding, so two runs over the same
-    component produce identical graphs.  Raises CapExceeded if the closure
-    grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
+    f-arrows, so mispaired operators still fail gl4/q4.  model.validate
+    runs on each vertex, the seed included, as it is first reached, so
+    every operator output is checked once; a failure is an InvariantError.
+    Vertices are then sorted by their canonical encoding, so two runs over
+    the same component produce identical graphs.  Raises CapExceeded if
+    the closure grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
     """
     cap = _cap_from_env(cap)
-    ids = {seed: 0}
-    found = [seed]
+    ids: dict[Element, int] = {}
+    found: list[Element] = []
 
     def visit(c: Optional[Element]) -> Optional[int]:
         if c is None:
@@ -130,8 +137,13 @@ def component(model: CrystalModel, seed: Element,
             k = ids[c] = len(found)
             if k >= cap:
                 raise CapExceeded(cap)
+            msg = model.validate and model.validate(c)
+            if msg is not None:
+                raise InvariantError(f"operator left the family: {msg}")
             found.append(c)
         return k
+
+    visit(seed)
 
     arrows = []
     for b in found:

@@ -4,12 +4,10 @@ Words carry the primitive operators; decomposition tableaux inherit them
 through their reading word; primed tableaux have native operators; the
 signed variants and factorizations wrap those in sign bookkeeping and
 insertion transport.  Each builder fixes n (the number of weight
-coordinates) and a canonical text form for vertices.  fact_component
-closes a factorization component on its recording tableau.
-
-Every operator output is checked against its family; model_ssdt checks
-each distinct output once per instance, through a private set that grows
-with the instance's distinct outputs (see model_ssdt).
+coordinates), a canonical text form for vertices, and the family's
+validator (looked up on tableaux at call time), which engine.component
+runs once on every vertex it reaches.  fact_component closes a
+factorization component on its recording tableau.
 """
 
 from . import engine
@@ -38,48 +36,30 @@ def model_words(n: int) -> CrystalModel:
     )
 
 
-def _ssdt_recut(t: Rows, letters) -> Rows:
-    out = []
-    pos = 0
-    for row in t:
-        chunk = letters[pos:pos + len(row)]
-        pos += len(row)
-        out.append(tuple(reversed(chunk)))
-    return tuple(out)
-
-
-def _ssdt_op(op, t: Rows, valid: set):
+def _ssdt_op(op, t: Rows):
+    """op on the reading word of t, cut back into rows of t's shape."""
     out = op(tb.rw_ssdt(t))
     if out is None:
         return None
-    t2 = _ssdt_recut(t, out)
-    if t2 not in valid:
-        msg = tb.validate_ssdt(t2)
-        if msg is not None:
-            raise tb.InvariantError(f"operator left the family: {msg}")
-        valid.add(t2)
-    return t2
+    rows, pos = [], 0
+    for row in t:
+        rows.append(tuple(reversed(out[pos:pos + len(row)])))
+        pos += len(row)
+    return tuple(rows)
 
 
 def model_ssdt(n: int) -> CrystalModel:
-    """Decomposition tableaux; operators act through the reading word.
-
-    Each distinct output is checked once: the instance keeps a private set
-    of the outputs that passed tb.validate_ssdt, a pure function of the
-    rows, so skipping a member is exact.  A failing output is never added
-    and raises on every call.  The set grows with the instance's distinct
-    outputs, one entry per vertex of a closed component.
-    """
-    valid: set[Rows] = set()
+    """Decomposition tableaux; operators act through the reading word."""
     return CrystalModel(
         n=n,
-        e=lambda i, t: _ssdt_op(lambda w: words.e_even(i, w), t, valid),
-        f=lambda i, t: _ssdt_op(lambda w: words.f_even(i, w), t, valid),
+        e=lambda i, t: _ssdt_op(lambda w: words.e_even(i, w), t),
+        f=lambda i, t: _ssdt_op(lambda w: words.f_even(i, w), t),
         weight=lambda t: tb.ssdt_weight(t, n),
-        e_bar=(lambda t: _ssdt_op(words.e_bar1, t, valid)) if n >= 2 else None,
-        f_bar=(lambda t: _ssdt_op(words.f_bar1, t, valid)) if n >= 2 else None,
+        e_bar=(lambda t: _ssdt_op(words.e_bar1, t)) if n >= 2 else None,
+        f_bar=(lambda t: _ssdt_op(words.f_bar1, t)) if n >= 2 else None,
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
+        validate=lambda t: tb.validate_ssdt(t),
     )
 
 
@@ -94,6 +74,7 @@ def model_pt(n: int) -> CrystalModel:
         f_bar=ptops.f_bar1_pt if n >= 2 else None,
         fmt=tb.fmt_primed,
         name=f"pt{n}",
+        validate=lambda t: tb.validate_pt(t),
     )
 
 
@@ -108,6 +89,7 @@ def model_spt(m: int) -> CrystalModel:
         f_bar=(lambda t: ptops.f_signed("b1", t)) if m >= 2 else None,
         fmt=tb.fmt_primed,
         name=f"spt{m}",
+        validate=lambda t: tb.validate_pt(t, diagonal_unprimed=False),
     )
 
 
@@ -183,10 +165,7 @@ def highest_ssdt(n: int, shape) -> Rows:
     >>> tb.fmt_plain(highest_ssdt(4, (5, 3, 1)))
     '3 2 2 1 1 / 2 1 1 / 1'
     """
-    shape = tuple(shape)
-    tb.check_strict(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
+    shape = tb.check_strict(shape, n)
     cells: dict[tuple[int, int], int] = {}
     for k, strip in enumerate(tb.border_strips(shape)):
         for (r, c), _ in strip:
@@ -204,10 +183,7 @@ def lowest_ssdt(n: int, shape) -> Rows:
     >>> tb.fmt_plain(lowest_ssdt(4, (5, 3, 1)))
     '4 4 4 4 4 / 3 3 3 / 2'
     """
-    shape = tuple(shape)
-    tb.check_strict(shape)
-    if len(shape) > n:
-        raise ValueError(f"shape {shape} has more than {n} rows")
+    shape = tb.check_strict(shape, n)
     out = tuple((n - r,) * part for r, part in enumerate(shape))
     msg = tb.validate_ssdt(out, n=n)
     if msg is not None:

@@ -49,12 +49,19 @@ def strictness_violation(shape: Sequence[int]) -> Optional[str]:
     return None
 
 
-def check_strict(shape: Sequence[int]) -> None:
+def check_strict(shape: Sequence[int],
+                 n: Optional[int] = None) -> tuple[int, ...]:
+    """shape as a tuple, checked to be a strict partition with at most n
+    rows (any number if n is None)."""
+    shape = tuple(shape)
     if any(p <= 0 for p in shape):
         raise ValueError(f"parts must be positive: {shape}")
     msg = strictness_violation(shape)
     if msg is not None:
         raise ValueError(msg)
+    if n is not None and len(shape) > n:
+        raise ValueError(f"shape {shape} has more than {n} rows")
+    return shape
 
 
 def shape_of(rows: Rows) -> tuple[int, ...]:
@@ -546,9 +553,7 @@ def border_strips(shape: Sequence[int]) -> list[list[tuple[tuple[int, int], bool
 
 def enumerate_st(shape: Sequence[int]) -> list[Rows]:
     """All standard shifted tableaux of the given strict shape."""
-    shape = tuple(shape)
-    if shape:
-        check_strict(shape)
+    shape = check_strict(shape)
     cells = list(shape_cells(shape))
     cellset = set(cells)
     filling: dict[tuple[int, int], int] = {}
@@ -578,9 +583,7 @@ def enumerate_st(shape: Sequence[int]) -> list[Rows]:
 def enumerate_pt(n: int, shape: Sequence[int],
                  diagonal_unprimed: bool = True) -> list[Rows]:
     """All primed tableaux (or signed ones) of a shape over 1'..n."""
-    shape = tuple(shape)
-    if shape:
-        check_strict(shape)
+    shape = check_strict(shape)
     cells = list(shape_cells(shape))
     results: list[Rows] = []
     grid: dict[tuple[int, int], int] = {}
@@ -623,11 +626,7 @@ def enumerate_pt(n: int, shape: Sequence[int],
 
 def enumerate_ssdt(n: int, shape: Sequence[int]) -> list[Rows]:
     """All semistandard decomposition tableaux of a shape over 1..n."""
-    shape = tuple(shape)
-    if shape:
-        check_strict(shape)
-    if not shape:
-        return [()]
+    shape = check_strict(shape)
 
     def hooks(length: int) -> list[tuple[int, ...]]:
         return [

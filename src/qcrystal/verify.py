@@ -9,6 +9,7 @@ explicit bounds; the ``verify_*`` wrappers bundle them for the CLI.
 """
 
 import dataclasses
+import functools
 import itertools
 
 from . import engine
@@ -30,6 +31,17 @@ def _merge(suite: str, reports) -> dict:
     checked = sum(r["checked"] for r in reports)
     failures = [f for r in reports for f in r["failures"]]
     return _report(suite, checked, failures)
+
+
+def _disagreement(explicit, transported, x):
+    """None if explicit(x) == transported(x), else why not: the message of
+    the ValueError either raised, or that they differ."""
+    try:
+        if explicit(x) == transported(x):
+            return None
+    except ValueError as exc:
+        return str(exc)
+    return "transport disagrees with the rule"
 
 
 def _all_words(n: int, length: int):
@@ -243,15 +255,16 @@ def check_pt_transport(n: int, max_size: int) -> dict:
                         lambda w, i=i: words.f_even(i, w)))
         for t in tb.enumerate_pt(n, shape):
             for name, pt_op, word_op in ops:
-                explicit = pt_op(t)
+                rule = functools.cache(pt_op)  # once per t, not per q
                 for q in sts:
                     checked += 1
-                    got = ptops.transport_op(t, q, word_op)
-                    if got != explicit:
+                    detail = _disagreement(
+                        rule, lambda s: ptops.transport_op(s, q, word_op), t)
+                    if detail is not None:
                         failures.append({
                             "check": "pt-transport", "op": name,
                             "t": tb.fmt_primed(t), "q": tb.fmt_plain(q),
-                            "detail": "transport disagrees with the rule",
+                            "detail": detail,
                         })
     return _report("pt-transport", checked, failures)
 
@@ -273,11 +286,12 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
                     ("e_bar1", fc.e_bar1_fact, fc.e_bar1_transport),
                     ("f_bar1", fc.f_bar1_fact, fc.f_bar1_transport),
                 ):
-                    if explicit(fact) != transported(fact):
+                    detail = _disagreement(explicit, transported, fact)
+                    if detail is not None:
                         failures.append({
                             "check": "fact-transport", "op": name,
                             "fact": typeb.fmt_factorization(fact),
-                            "detail": "transport disagrees with the rule",
+                            "detail": detail,
                         })
     if perm and not checked:
         bound = f"m = {m}" if m is not None else f"m <= {max_m}"

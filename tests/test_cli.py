@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcrystal import cli, verify
+from qcrystal import cli, ptops, verify
 from qcrystal import tableaux as tb
 
 
@@ -128,6 +128,40 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: operator left the family: planted fault\n"
+
+
+def _plant_f_bar1_pt(monkeypatch, planted):
+    real = ptops.f_bar1_pt
+    monkeypatch.setattr(ptops, "f_bar1_pt", lambda t: planted(real(t)))
+
+
+def test_transport_fault_is_a_witness_not_bad_input(capsys, monkeypatch):
+    # an f_bar1_pt that grows row 1 sends pkr_inverse a tableau of the
+    # wrong shape; that ValueError is a failed check (exit 1), not exit 2
+    _plant_f_bar1_pt(monkeypatch, lambda out: None if out is None
+                     else (out[0] + out[0][-1:],) + out[1:])
+    code, out, err = run(capsys, "verify", "--suite", "equivalence",
+                         "--perm", "2,-3,1", "--m", "3")
+    assert code == 1
+    assert err == ""
+    failures = json.loads(out)["failures"]
+    assert failures and all(f["check"] == "fact-transport" for f in failures)
+    assert {"check": "fact-transport", "detail": "shapes differ",
+            "fact": "(-1)()(-2101)", "op": "f_bar1"} in failures
+
+
+def test_pt_transport_records_a_rule_error(monkeypatch):
+    def planted(out):
+        raise ValueError("planted fault")
+
+    _plant_f_bar1_pt(monkeypatch, planted)
+    report = verify.check_pt_transport(2, 2)
+    assert report["checked"] == 18  # 6 tableaux, 3 operators, 1 q each
+    assert [f for f in report["failures"] if f["op"] == "f_bar1"] == [
+        {"check": "pt-transport", "op": "f_bar1", "t": t, "q": q,
+         "detail": "planted fault"}
+        for t, q in (("1", "1"), ("2", "1"), ("1 1", "1 2"),
+                     ("1 2'", "1 2"), ("1 2", "1 2"), ("2 2", "1 2"))]
 
 
 def test_graph_missing_flags(capsys):

@@ -124,21 +124,27 @@ def _planted_fault(rows, n=None):
 
 
 def test_ssdt_operator_output_check_raises_invariant_error(monkeypatch):
+    # the seed passes; the first operator output that engine.component
+    # reaches fails the planted check
     model = models.model_ssdt(3)
     hi = models.highest_ssdt(3, (2, 1))
-    monkeypatch.setattr(tb, "validate_ssdt", _planted_fault)
+    monkeypatch.setattr(
+        tb, "validate_ssdt",
+        lambda rows, n=None: None if rows == hi else "planted fault")
     with pytest.raises(tb.InvariantError,
                        match="operator left the family: planted fault"):
-        model.f(1, hi)
+        engine.component(model, hi)
 
 
 def test_invariant_check_survives_optimize_flag():
-    # under python -O every assert is stripped; the output check must not be
+    # under python -O every assert is stripped; the vertex check must not be
     script = (
-        "from qcrystal import models, tableaux as tb\n"
-        "tb.validate_ssdt = lambda rows, n=None: 'planted fault'\n"
+        "from qcrystal import engine, models, tableaux as tb\n"
+        "hi = ((2, 1), (1,))\n"
+        "tb.validate_ssdt = (lambda rows, n=None:\n"
+        "                    None if rows == hi else 'planted fault')\n"
         "try:\n"
-        "    models.model_ssdt(3).f(1, ((2, 1), (1,)))\n"
+        "    engine.component(models.model_ssdt(3), hi)\n"
         "except tb.InvariantError as exc:\n"
         "    print('raised', exc)\n"
     )
@@ -151,27 +157,38 @@ def test_invariant_check_survives_optimize_flag():
     assert proc.stdout == "raised operator left the family: planted fault\n"
 
 
-def test_ssdt_validates_each_distinct_output_once(monkeypatch):
-    # validate_ssdt is a pure function of the rows, so an instance checks
-    # each distinct operator output once; a second instance checks again
-    seed = models.highest_ssdt(4, (3, 1))
-    real = tb.validate_ssdt
+# each model, its validator on tableaux, a seed and its component's size
+_VALIDATED = [
+    ("model_ssdt", "validate_ssdt", models.highest_ssdt(4, (3, 1)), 80),
+    ("model_pt", "validate_pt", ptops.highest_pt(4, (3, 1)), 80),
+    ("model_spt", "validate_pt", tb.pr(ptops.highest_pt(4, (3, 1)), {2}), 80),
+]
+
+
+@pytest.mark.parametrize("builder, validator, seed, size", _VALIDATED,
+                         ids=[case[0] for case in _VALIDATED])
+def test_component_validates_each_distinct_output_once(
+        monkeypatch, builder, validator, seed, size):
+    # the family check is a pure function of the rows, so engine.component
+    # checks each distinct operator output once; a second closure, with a
+    # new model, checks again
+    real = getattr(tb, validator)
     checked = []
 
-    def counting(rows, n=None):
+    def counting(rows, *args, **kwargs):
         checked.append(rows)
-        return real(rows, n)
+        return real(rows, *args, **kwargs)
 
-    monkeypatch.setattr(tb, "validate_ssdt", counting)
+    monkeypatch.setattr(tb, validator, counting)
     for _ in range(2):
         checked.clear()
-        model = models.model_ssdt(4)
+        model = getattr(models, builder)(4)
         outputs = set()
         model = dataclasses.replace(model, **{
             op: _recording(getattr(model, op), outputs)
             for op in ("e", "f", "e_bar", "f_bar")})
         g = engine.component(model, seed)
-        assert len(g) == 80
+        assert len(g) == size
         assert outputs == set(g.vertices)
         assert sorted(checked) == sorted(outputs)
 
@@ -186,6 +203,7 @@ def _recording(op, outputs):
 
 
 def test_ssdt_output_that_fails_is_never_cached(monkeypatch):
+    # the operators no longer check; the closure does, on every run
     hi = models.highest_ssdt(3, (2, 1))
     bad = models.model_ssdt(3).f(1, hi)
     real = tb.validate_ssdt
@@ -193,8 +211,37 @@ def test_ssdt_output_that_fails_is_never_cached(monkeypatch):
         tb, "validate_ssdt",
         lambda rows, n=None: "planted fault" if rows == bad else real(rows, n))
     model = models.model_ssdt(3)
-    assert model.f(2, hi) is not None
-    for _ in range(2):
+    assert model.f(1, hi) == bad
+    for m in (model, model, models.model_ssdt(3)):
         with pytest.raises(tb.InvariantError,
                            match="operator left the family: planted fault"):
-            model.f(1, hi)
+            engine.component(m, hi)
+
+
+def test_component_checks_odd_pt_outputs(monkeypatch):
+    # an output reached only as f_bar1_pt's is checked like any other
+    hi = ptops.highest_pt(3, (3, 1))
+    bad = ptops.f_bar1_pt(hi)
+    real = tb.validate_pt
+    monkeypatch.setattr(
+        tb, "validate_pt",
+        lambda rows, *args, **kwargs:
+            "planted fault" if rows == bad else real(rows, *args, **kwargs))
+    with pytest.raises(tb.InvariantError,
+                       match="^operator left the family: planted fault$"):
+        engine.component(models.model_pt(3), hi)
+
+
+@pytest.mark.parametrize("build", [ptops.highest_pt, ptops.lowest_pt,
+                                   models.highest_ssdt, models.lowest_ssdt],
+                         ids=lambda f: f.__name__)
+def test_extreme_constructors_check_the_shape(build):
+    with pytest.raises(ValueError,
+                       match=r"^shape \(3, 2, 1\) has more than 2 rows$"):
+        build(2, [3, 2, 1])
+    with pytest.raises(ValueError,
+                       match=r"^not a strict partition: \(2, 2\)$"):
+        build(3, [2, 2])
+    with pytest.raises(ValueError, match=r"^parts must be positive: \(2, 0\)$"):
+        build(3, [2, 0])
+    assert build(3, [2, 1]) == build(3, (2, 1))

@@ -269,6 +269,18 @@ def test_signed_ops_inverse():
                 assert ptops.f_signed(color, up) == t
 
 
+@pytest.mark.parametrize("ptype", [frozenset(), frozenset({1})])
+def test_signed_rejects_an_inner_primed_diagonal(monkeypatch, ptype):
+    # an inner output with a primed diagonal is still a valid signed
+    # tableau once re-primed, so the vertex check cannot see it; _signed
+    # must, whatever the prime type it restores
+    monkeypatch.setattr(ptops, "f_bar1_pt", lambda t: tb.pr(t, {1}))
+    t = tb.pr(ptops.highest_pt(2, (2, 1)), ptype)
+    with pytest.raises(tb.InvariantError,
+                       match="^operator primed the diagonal entry of row 1$"):
+        ptops.f_signed("b1", t)
+
+
 # ---------------------------------------------------------------------------
 # extreme tableaux
 
