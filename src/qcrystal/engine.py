@@ -120,7 +120,9 @@ def component(model: CrystalModel, seed: Element,
     targets kept as ids.  e is applied on its own, never read off the
     f-arrows, so mispaired operators still fail gl4/q4.  model.validate
     runs on each vertex, the seed included, as it is first reached, so
-    every operator output is checked once; a failure is an InvariantError.
+    every operator output is checked once.  A failure is an InvariantError:
+    "seed is not in the family" on the seed, "operator left the family"
+    on any other vertex.
     Vertices are then sorted by their canonical encoding, so two runs over
     the same component produce identical graphs.  Raises CapExceeded if
     the closure grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
@@ -129,7 +131,8 @@ def component(model: CrystalModel, seed: Element,
     ids: dict[Element, int] = {}
     found: list[Element] = []
 
-    def visit(c: Optional[Element]) -> Optional[int]:
+    def visit(c: Optional[Element],
+              fault: str = "operator left the family") -> Optional[int]:
         if c is None:
             return None
         k = ids.get(c)
@@ -139,11 +142,11 @@ def component(model: CrystalModel, seed: Element,
                 raise CapExceeded(cap)
             msg = model.validate and model.validate(c)
             if msg is not None:
-                raise InvariantError(f"operator left the family: {msg}")
+                raise InvariantError(f"{fault}: {msg}")
             found.append(c)
         return k
 
-    visit(seed)
+    visit(seed, "seed is not in the family")
 
     arrows = []
     for b in found:

@@ -6,7 +6,10 @@ The even operators move letters between factors by transport through the
 primed insertion (the insertion tableau never changes, only the recording
 tableau does).  The odd operators have a direct description on the first
 two factors, implemented here; ``e_bar1_transport``/``f_bar1_transport``
-compute the same maps the slow way for cross-checking.
+compute the same maps the slow way, one factorization at a time.
+``verify.check_fact_transport`` reads the transport of a whole
+(perm, m) sweep off one ``pkr`` per factorization instead, and falls back
+to them only where that table has no answer.
 
 These are the per-element operators.  Whole components are closed on the
 recording tableau instead (``models.fact_component``): one insertion per
@@ -84,17 +87,22 @@ def f_bar1_fact(fact):
 # ---------------------------------------------------------------------------
 # transport through the primed insertion
 
+def within(t, m: int):
+    """t, or None when t is None or has an entry over m.
+
+    A tableau operator can leave the entries-<=-m family (only the odd
+    pair at m = 1 does); the factor operator is then undefined.
+    """
+    if t is None or any(tb.code_value(v) > m for row in t for v in row):
+        return None
+    return t
+
+
 def _transport(fact, op):
     fact = typeb.check_factorization(fact)
     p, t = kw.pkr(fact)
-    t2 = op(t)
-    if t2 is None:
-        return None
-    if any(tb.code_value(v) > len(fact) for row in t2 for v in row):
-        # the tableau operator left the entries-<=-m family (only the
-        # odd pair at m = 1 can do this); the factor operator is undefined
-        return None
-    return kw.pkr_inverse(p, t2, m=len(fact))
+    t2 = within(op(t), len(fact))
+    return None if t2 is None else kw.pkr_inverse(p, t2, m=len(fact))
 
 
 def e_fact(fact, i):

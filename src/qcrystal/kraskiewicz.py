@@ -15,7 +15,9 @@ Plain insertion kr is pkr on one-letter factors signed +, whose
 recording tableau is 2Q for a standard tableau Q.
 
 pkr has the one letter-by-letter loop and pkr_inverse the one reverse
-walk, which undoes each bump chain row by row.  A row step keeps the
+walk, which undoes each bump chain row by row.  pkr validates its final
+P and T once, not each intermediate P: that is the insertion of a
+prefix, which verify inserts as a word of its own.  A row step keeps the
 product (R·a = b·R' in B_n), so the row and the letter entering it are a
 factor of a reduced word; of the local undoings of a row (split it into
 a strictly decreasing and a strictly increasing part, invert the bumps,
@@ -134,11 +136,7 @@ def _insert(rows: Rows, a: int) -> tuple[Rows, tuple[int, int]]:
             break
         work[r], a = step[1], step[2]
         r += 1
-    out = tuple(work)
-    msg = validate_sdt(out)
-    if msg is not None:
-        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
-    return out, cell
+    return tuple(work), cell
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +279,9 @@ def pkr(fact) -> tuple[Rows, Rows]:
                 f"factor {fi} boxes do not form a vee: {boxes}")
         for idx, cell in enumerate(boxes, start=1):
             t_cells[cell] = tb.code(fi, idx < k or (idx == k and sign < 0))
+    msg = validate_sdt(rows)
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
     t = tb.from_cells(tb.shape_of(rows), t_cells)
     msg = tb.validate_pt(t, diagonal_unprimed=False)
     if msg is not None:

@@ -8,7 +8,9 @@ greater, or else fills the cell just past the line's end.  A bumped
 entry u at (r, c) goes to column c + 1, as u' if it sat on the main
 diagonal and as itself if primed, and otherwise to row r + 1.  So the
 recording tableau stays plain: the kind of the final placement can be
-read off the primality of the new insertion-tableau entry.
+read off the primality of the new insertion-tableau entry.  hm validates
+its final P and Q once, not each intermediate P: that is the insertion
+of a prefix, which verify inserts as a word of its own.
 
 hm_inverse undoes the chains cell by cell with one predecessor rule:
 v came from the last entry u < v of the line before its own (row or
@@ -59,11 +61,7 @@ def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
         work[r].append(v)
     else:
         raise InvariantError(f"insertion cell {cell} is off the shifted shape")
-    frozen = tb.freeze(work)
-    msg = tb.validate_pt(frozen)
-    if msg is not None:
-        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
-    return frozen, cell
+    return tb.freeze(work), cell
 
 
 def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
@@ -79,6 +77,9 @@ def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
         if len(q_work[r]) != c - r:
             raise InvariantError("recording cell out of order")
         q_work[r].append(step)
+    msg = tb.validate_pt(p)
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
     q = tb.freeze(q_work)
     msg = tb.validate_st(q)
     if msg is not None:

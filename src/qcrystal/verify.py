@@ -269,9 +269,52 @@ def check_pt_transport(n: int, max_size: int) -> dict:
     return _report("pt-transport", checked, failures)
 
 
+def _fibre_table(perm, m: int, failures: list):
+    """The factorizations of perm into m factors, and a reader of their
+    odd transports.
+
+    pkr runs once per factorization, and the table maps each image (P, T)
+    back to its factorization; a second factorization with the same image
+    is a witness that pkr is not injective.  The transport of fact under
+    the signed operator op is table[(P, op("b1", T))], or None when op is
+    undefined or leaves the entries <= m.  Where fact has no image or the
+    table has no entry, the reader calls the per-element ``fallback``, so
+    a faulty operator gets that transport's error as its witness.
+    """
+    facts = list(typeb.enumerate_factorizations(perm, m))
+    images: dict = {}
+    table: dict = {}
+    for fact in facts:
+        try:
+            images[fact] = image = kw.pkr(fact)
+        except ValueError:
+            continue  # the fallback meets the same error and records it
+        first = table.setdefault(image, fact)
+        if first != fact:
+            failures.append({
+                "check": "fact-transport", "op": "pkr",
+                "fact": typeb.fmt_factorization(fact),
+                "detail": ("pkr is not injective: same pair as "
+                           + typeb.fmt_factorization(first)),
+            })
+
+    def read(fact, op, fallback):
+        if fact not in images:
+            return fallback(fact)
+        p, t = images[fact]
+        t2 = fc.within(op("b1", t), m)
+        if t2 is None:
+            return None
+        hit = table.get((p, t2))
+        return fallback(fact) if hit is None else hit
+
+    return facts, read
+
+
 def check_fact_transport(rank: int = 3, max_len: int = 5,
                          max_m: int = 3, perm=None, m=None) -> dict:
-    """Explicit odd factor surgery matches insertion transport."""
+    """Explicit odd factor surgery matches insertion transport, read off
+    one pkr per factorization (``_fibre_table``)."""
     failures = []
     checked = 0
     perms = [tuple(perm)] if perm else [
@@ -280,13 +323,17 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
     for perm_ in perms:
         ms = [m] if m is not None else range(1, max_m + 1)
         for mm in ms:
-            for fact in typeb.enumerate_factorizations(perm_, mm):
+            facts, read = _fibre_table(perm_, mm, failures)
+            for fact in facts:
                 checked += 2
-                for name, explicit, transported in (
-                    ("e_bar1", fc.e_bar1_fact, fc.e_bar1_transport),
-                    ("f_bar1", fc.f_bar1_fact, fc.f_bar1_transport),
+                for name, explicit, op, fallback in (
+                    ("e_bar1", fc.e_bar1_fact, ptops.e_signed,
+                     fc.e_bar1_transport),
+                    ("f_bar1", fc.f_bar1_fact, ptops.f_signed,
+                     fc.f_bar1_transport),
                 ):
-                    detail = _disagreement(explicit, transported, fact)
+                    detail = _disagreement(
+                        explicit, lambda x: read(x, op, fallback), fact)
                     if detail is not None:
                         failures.append({
                             "check": "fact-transport", "op": name,

@@ -1,22 +1,25 @@
 """Reference insertions: plain Kraśkiewicz, and mixed insertion by cases.
 
-``kr`` inserts letter by letter and records each new box's step number;
-``kr_inverse`` removes boxes in decreasing order of Q, tries every
-local undoing of each bump chain (``reverse_steps``, a search with no
-reducedness test), and re-inserts every leaf.  They are kept as oracles
-for ``qcrystal.kraskiewicz.kr``/``kr_inverse``, which run the primed
-insertion on one-letter factors and undo each chain along its one
-reduced path instead.  The row step and its local inverses are the
-library's own.
+``insert_word`` is the letter-by-letter loop that validates every
+intermediate insertion tableau; the library validates only the final P.
+
+``kr`` runs that loop on the library's row step and records each new
+box's step number; ``kr_inverse`` removes boxes in decreasing order of
+Q, tries every local undoing of each bump chain (``reverse_steps``, a
+search with no reducedness test), and re-inserts every leaf.  They are
+kept as oracles for ``qcrystal.kraskiewicz.kr``/``kr_inverse``, which
+run the primed insertion on one-letter factors and undo each chain along
+its one reduced path instead.  The row step and its local inverses are
+the library's own.
 
 ``row_candidates`` and ``vee_bottom_cells`` are the plain forms of the
 library's kernels: the first tries every split of the row and keeps the
 decreasing/increasing ones, the second tests every index as the corner.
 
 ``hm``/``hm_inverse`` are the mixed insertion with separate row and
-column branches, forward and reverse, kept as the oracle for
-``qcrystal.mixed``, which runs one bump and one predecessor rule on
-both kinds of line.
+column branches, forward and reverse (``hm`` through ``insert_word``),
+kept as the oracle for ``qcrystal.mixed``, which runs one bump and one
+predecessor rule on both kinds of line.
 """
 
 from bisect import bisect_left, bisect_right
@@ -80,14 +83,18 @@ def vee_bottom_cells(cells) -> Optional[int]:
     return valid[0]
 
 
-def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
-    """Insertion and recording tableaux of a reduced word."""
-    if not typeb.is_reduced(word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
+def insert_word(insert, validate, word: Sequence[int]) -> tuple[Rows, Rows]:
+    """Insertion and recording tableaux of word under the one-letter step
+    insert, with validate run on every intermediate insertion tableau
+    (each the insertion of a prefix of word)."""
     p: Rows = ()
     q_work: list[list[int]] = []
     for step, a in enumerate(word, start=1):
-        p, (r, c) = _insert(p, a)
+        p, (r, c) = insert(p, a)
+        msg = validate(p)
+        if msg is not None:
+            raise InvariantError(
+                f"insertion produced an invalid tableau: {msg}")
         if r == len(q_work):
             q_work.append([])
         if len(q_work[r]) != c - r:
@@ -98,6 +105,14 @@ def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
     if msg is not None:
         raise InvariantError(f"recording tableau invalid: {msg}")
     return p, q
+
+
+def kr(word: Sequence[int]) -> tuple[Rows, Rows]:
+    """Insertion and recording tableaux of a reduced word, validated after
+    every letter."""
+    if not typeb.is_reduced(word):
+        raise ValueError(f"word {tuple(word)} is not reduced")
+    return insert_word(_insert, validate_sdt, word)
 
 
 def reverse_steps(rows: Rows, r_end: int, c_end: int) -> list:
@@ -232,31 +247,15 @@ def _hm_insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
                 mode, k, v = "col", k + 1, u
             else:
                 mode, k, v = "row", target + 1, u
-    frozen = tb.freeze(work)
-    msg = tb.validate_pt(frozen)
-    if msg is not None:
-        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
-    return frozen, cell
+    return tb.freeze(work), cell
 
 
 def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
-    """Insert a word; returns the (insertion, recording) tableau pair."""
+    """Insert a word, validating after every letter; returns the
+    (insertion, recording) tableau pair."""
     if any(a < 1 for a in word):
         raise ValueError(f"word {tuple(word)} has a letter below 1")
-    p: Rows = ()
-    q_work: list[list[int]] = []
-    for step, a in enumerate(word, start=1):
-        p, (r, c) = _hm_insert(p, a)
-        if r == len(q_work):
-            q_work.append([])
-        if len(q_work[r]) != c - r:
-            raise InvariantError("recording cell out of order")
-        q_work[r].append(step)
-    q = tb.freeze(q_work)
-    msg = tb.validate_st(q)
-    if msg is not None:
-        raise InvariantError(f"recording tableau invalid: {msg}")
-    return p, q
+    return insert_word(_hm_insert, tb.validate_pt, word)
 
 
 def _hm_reverse_chain(rows: Rows, r: int, c: int) -> tuple[Rows, int]:

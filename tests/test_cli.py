@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from qcrystal import cli, ptops, verify
+from qcrystal import cli, models, ptops, verify
+from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 
 
@@ -117,10 +118,11 @@ def test_vertex_cap_of_one_holds_the_seed(capsys, monkeypatch):
 
 def test_internal_error_exits_4(capsys, monkeypatch):
     real = tb.validate_ssdt
+    seed = models.highest_ssdt(3, (2, 1))
 
     def planted(rows, n=None):
-        # the seed check passes n; only the operator output check fails
-        return real(rows, n) if n is not None else "planted fault"
+        # the seed passes every check; the first operator output fails
+        return real(rows, n) if rows == seed else "planted fault"
 
     monkeypatch.setattr(tb, "validate_ssdt", planted)
     code, out, err = run(capsys, "graph", "--model", "ssdt",
@@ -148,6 +150,21 @@ def test_transport_fault_is_a_witness_not_bad_input(capsys, monkeypatch):
     assert failures and all(f["check"] == "fact-transport" for f in failures)
     assert {"check": "fact-transport", "detail": "shapes differ",
             "fact": "(-1)()(-2101)", "op": "f_bar1"} in failures
+
+
+def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
+    # the odd transport reads the pkr images, so only the round trips
+    # run pkr_inverse
+    real = kw.pkr_inverse
+    monkeypatch.setattr(kw, "pkr_inverse",
+                        lambda p, t, m: real(p, t, m)[::-1])
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["checked"] == 13519
+    assert ({f["check"] for f in report["failures"]}
+            == {"kr", "kr-fiber", "pkr"})
 
 
 def test_pt_transport_records_a_rule_error(monkeypatch):

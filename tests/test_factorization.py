@@ -2,7 +2,8 @@ import pytest
 
 from qcrystal import factorization as fc
 from qcrystal import kraskiewicz as kw
-from qcrystal import typeb
+from qcrystal import ptops, typeb, verify
+from qcrystal import tableaux as tb
 from qcrystal.typeb import fmt_factorization as fmt
 from qcrystal.typeb import parse_factorization as F
 
@@ -115,3 +116,54 @@ def test_string_round_trip():
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         fc.f_bar1_fact(((1, (0, 0)), (0, ())))
+
+
+# the (perm, m) pairs of check_fact_transport's default sweep
+DEFAULT_SWEEP = [(p, m) for p in typeb.enumerate_perms(3)
+                 if typeb.length(p) <= 5 for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sweep, size", [(DEFAULT_SWEEP, 3203),
+                                         ([((2, -3, 1), 3)], 192)],
+                         ids=["default", "perm-2,-3,1-m-3"])
+def test_fibre_table_equals_transport(sweep, size):
+    # every answer comes from the table: a miss would call the fallback
+    def miss(fact):
+        raise AssertionError(f"{fmt(fact)} missed the table")
+
+    facts = 0
+    for perm, m in sweep:
+        failures = []
+        table_facts, read = verify._fibre_table(perm, m, failures)
+        assert failures == []
+        assert table_facts == list(typeb.enumerate_factorizations(perm, m))
+        for fact in table_facts:
+            facts += 1
+            assert (read(fact, ptops.e_signed, miss)
+                    == fc.e_bar1_transport(fact)), fmt(fact)
+            assert (read(fact, ptops.f_signed, miss)
+                    == fc.f_bar1_transport(fact)), fmt(fact)
+    assert facts == size
+
+
+def test_non_injective_pkr_is_a_witness(monkeypatch):
+    # a pkr that forgets T's primes sends two factorizations to one pair
+    real = kw.pkr
+
+    def unprimed(fact):
+        p, t = real(fact)
+        return p, tuple(tuple(tb.code(tb.code_value(v), False) for v in row)
+                        for row in t)
+
+    monkeypatch.setattr(kw, "pkr", unprimed)
+    report = verify.check_fact_transport(perm=(2, -3, 1), m=3)
+    assert report["checked"] == 2 * 192
+    witnesses = [f for f in report["failures"] if f["op"] == "pkr"]
+    assert witnesses[0] == {
+        "check": "fact-transport", "op": "pkr", "fact": "(-1)(-2)(+101)",
+        "detail": "pkr is not injective: same pair as (-1)(-2)(-101)"}
+    for w in witnesses:
+        assert w["check"] == "fact-transport"
+        other = w["detail"].removeprefix("pkr is not injective: same pair as ")
+        fact, other = F(w["fact"]), F(other)
+        assert fact != other and unprimed(fact) == unprimed(other)

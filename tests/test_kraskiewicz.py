@@ -116,7 +116,8 @@ BAD_KR_INVERSE_PAIRS = [
 
 
 def test_kr_matches_reference():
-    # kr is pkr on one-letter factors; the oracle has its own loop and
+    # kr is pkr on one-letter factors and validates only its final P; the
+    # oracle has its own loop, which validates every intermediate P, and
     # its own reverse search
     for w in reduced_words(3, 5) + reduced_words(4, 4):
         p, q = kw.kr(w)

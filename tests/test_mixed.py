@@ -143,10 +143,14 @@ def _outcome(f, *args):
 
 
 def test_hm_matches_reference():
-    # words over 1..4 include those over 1..n for every n <= 4
+    # words over 1..4 include those over 1..n for every n <= 4; hm
+    # validates only its final P, and both oracles validate every
+    # intermediate P, one on the reference step and one on hm's own
     for m in range(7):
         for w in all_words(4, m):
-            assert mixed.hm(w) == ref.hm(w), w
+            pair = mixed.hm(w)
+            assert pair == ref.hm(w), w
+            assert pair == ref.insert_word(mixed._insert, tb.validate_pt, w)
 
 
 def test_hm_inverse_matches_reference():

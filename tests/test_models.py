@@ -136,6 +136,16 @@ def test_ssdt_operator_output_check_raises_invariant_error(monkeypatch):
         engine.component(model, hi)
 
 
+def test_seed_outside_the_family_is_named_as_the_seed():
+    # no operator produced the seed, so the error does not blame one
+    seed = tb.parse_primed("2 1")
+    msg = tb.validate_pt(seed)
+    assert msg is not None
+    with pytest.raises(tb.InvariantError) as exc:
+        engine.component(models.model_pt(3), seed)
+    assert str(exc.value) == f"seed is not in the family: {msg}"
+
+
 def test_invariant_check_survives_optimize_flag():
     # under python -O every assert is stripped; the vertex check must not be
     script = (
