@@ -108,7 +108,7 @@ def _graph_component(args) -> engine.CrystalGraph:
             or len(word) != typeb.length(perm)):
         raise ValueError(f"seed word {typeb.fmt_word(word)} is not a reduced "
                          f"word of {typeb.fmt_perm(perm)}")
-    return models.fact_component(seed, args.m)
+    return engine.component(models.model_fact(args.m), seed)
 
 
 def _read_options(args, selector: str, table) -> dict:

@@ -3,7 +3,9 @@
 A crystal is described operationally by a CrystalModel: raising and
 lowering maps e(i, b) / f(i, b) for the colors i = 1..n-1, a weight
 function, and optionally the odd pair e_bar / f_bar (color "b1").
-Elements may be any hashable values; fmt renders them canonically.
+Elements may be any hashable values; fmt renders them canonically.  A
+family that is another crystal under a new name sets via = (proxy, lift)
+instead of e/f, and its arrows are the proxy's.
 
 component is the only function that calls these operators: it closes
 a seed into a CrystalGraph (BFS with a vertex cap) holding every arrow,
@@ -42,20 +44,25 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class CrystalModel:
     n: int
-    e: Callable[[int, Element], Optional[Element]]
-    f: Callable[[int, Element], Optional[Element]]
     weight: Callable[[Element], tuple[int, ...]]
+    e: Optional[Callable[[int, Element], Optional[Element]]] = None
+    f: Optional[Callable[[int, Element], Optional[Element]]] = None
     e_bar: Optional[Callable[[Element], Optional[Element]]] = None
     f_bar: Optional[Callable[[Element], Optional[Element]]] = None
     fmt: Callable[[Element], str] = field(default=str)
     name: str = "crystal"
     # the family check: why an element is not in the family, or None
     validate: Optional[Callable[[Element], Optional[str]]] = None
+    # (proxy, lift) in place of e/f: lift(seed) is the seed's image in the
+    # proxy crystal and the map back; the arrows are the proxy's
+    via: Optional[tuple["CrystalModel", Callable]] = None
 
     @property
     def colors(self) -> list[Color]:
+        if self.via is not None:
+            return self.via[0].colors
         out: list[Color] = list(range(1, self.n))
-        if self.e_bar is not None:
+        if self.e_bar is not None and self.f_bar is not None:
             out.append("b1")
         return out
 
@@ -122,14 +129,21 @@ def component(model: CrystalModel, seed: Element,
     runs on each vertex, the seed included, as it is first reached, so
     every operator output is checked once.  A failure is an InvariantError:
     "seed is not in the family" on the seed, "operator left the family"
-    on any other vertex.
+    on any other vertex.  A model with via = (proxy, lift) is closed on
+    the proxy from lift's image of the seed; each vertex is checked against
+    proxy.validate, then mapped back once and checked against
+    model.validate, and the model's own odd pair, if any, must land where
+    the proxy's b1 arrows do.
     Vertices are then sorted by their canonical encoding, so two runs over
     the same component produce identical graphs.  Raises CapExceeded if
     the closure grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
     """
     cap = _cap_from_env(cap)
+    proxy, lift = model.via or (model, None)
+    seed, back = lift(seed) if lift else (seed, None)
     ids: dict[Element, int] = {}
     found: list[Element] = []
+    mapped: list[Element] = []  # found, mapped back
 
     def visit(c: Optional[Element],
               fault: str = "operator left the family") -> Optional[int]:
@@ -140,10 +154,15 @@ def component(model: CrystalModel, seed: Element,
             k = ids[c] = len(found)
             if k >= cap:
                 raise CapExceeded(cap)
-            msg = model.validate and model.validate(c)
+            msg = proxy.validate and proxy.validate(c)
+            x = c
+            if msg is None and back is not None:
+                x = back(c)
+                msg = model.validate and model.validate(x)
             if msg is not None:
                 raise InvariantError(f"{fault}: {msg}")
             found.append(c)
+            mapped.append(x)
         return k
 
     visit(seed, "seed is not in the family")
@@ -151,12 +170,18 @@ def component(model: CrystalModel, seed: Element,
     arrows = []
     for b in found:
         row = []
-        for i in range(1, model.n):
-            row += visit(model.f(i, b)), visit(model.e(i, b))
-        row += (None if model.f_bar is None else visit(model.f_bar(b)),
-                None if model.e_bar is None else visit(model.e_bar(b)))
+        for i in range(1, proxy.n):
+            row += visit(proxy.f(i, b)), visit(proxy.e(i, b))
+        row += (None if proxy.f_bar is None else visit(proxy.f_bar(b)),
+                None if proxy.e_bar is None else visit(proxy.e_bar(b)))
         arrows.append(tuple(row))
-    return _sorted_graph(model, found, arrows)
+    if back is not None and model.f_bar is not None:
+        for x, row in zip(mapped, arrows):
+            moved = tuple(None if k is None else mapped[k] for k in row[-2:])
+            if (model.f_bar(x), model.e_bar(x)) != moved:
+                raise InvariantError(
+                    "odd operators disagree with transport at " + model.fmt(x))
+    return _sorted_graph(model, mapped, arrows)
 
 
 def _sorted_graph(model: CrystalModel, found: list,
@@ -324,7 +349,7 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     report["suite"] = "q-axioms"
     fail = partial(_fail, report["failures"], graph)
 
-    if model.e_bar is None or model.f_bar is None:
+    if "b1" not in model.colors:
         fail("q0", "b1", 0, "model lacks odd operators")
         return report
     for u, b in enumerate(graph.vertices):

@@ -8,13 +8,14 @@ tableau does).  The odd operators have a direct description on the first
 two factors, implemented here; ``e_bar1_transport``/``f_bar1_transport``
 compute the same maps the slow way, one factorization at a time.
 ``verify.check_fact_transport`` reads the transport of a whole
-(perm, m) sweep off one ``pkr`` per factorization instead, and falls back
-to them only where that table has no answer.
+(perm, m) sweep off one ``pkr`` per factorization instead.
 
 These are the per-element operators.  Whole components are closed on the
-recording tableau instead (``models.fact_component``): one insertion per
-component, one inverse insertion per vertex, and the odd pair here checked
-against transport on every vertex.
+recording tableau instead (``models.model_fact`` names the signed primed
+tableau crystal as its proxy): one insertion per component, one inverse
+insertion per vertex, and the odd pair here checked against transport on
+every vertex.  So ``e_fact``/``f_fact`` are not on that path; they stay
+as the definition of the even operators.
 
 All operators take a factorization tuple, check it with
 ``typeb.check_factorization`` and answer with a tuple; the text form

@@ -21,8 +21,8 @@ prefix, which verify inserts as a word of its own.  A row step keeps the
 product (R·a = b·R' in B_n), so the row and the letter entering it are a
 factor of a reduced word; of the local undoings of a row (split it into
 a strictly decreasing and a strictly increasing part, invert the bumps,
-forward-check) at most one keeps R·a reduced.  One pkr of the result
-confirms it.
+forward-check) at most one keeps R·a reduced.  The loop of pkr (_pkr)
+confirms the result; the pair was checked on entry.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -260,6 +260,18 @@ def vee_bottom(q: Rows, i: int, j: int) -> Optional[int]:
 def pkr(fact) -> tuple[Rows, Rows]:
     """Insert a factorization; records factor numbers, primed on the
     vertical arm of each factor's vee and signed at the corner."""
+    rows, t = _pkr(fact)
+    msg = validate_sdt(rows)
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
+    msg = tb.validate_pt(t, diagonal_unprimed=False)
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
+    return rows, t
+
+
+def _pkr(fact) -> tuple[Rows, Rows]:
+    """pkr without its checks of the final P and T."""
     fact = typeb.check_factorization(fact)
     word = typeb.fact_word(fact)
     if not typeb.is_reduced(word):
@@ -279,14 +291,7 @@ def pkr(fact) -> tuple[Rows, Rows]:
                 f"factor {fi} boxes do not form a vee: {boxes}")
         for idx, cell in enumerate(boxes, start=1):
             t_cells[cell] = tb.code(fi, idx < k or (idx == k and sign < 0))
-    msg = validate_sdt(rows)
-    if msg is not None:
-        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
-    t = tb.from_cells(tb.shape_of(rows), t_cells)
-    msg = tb.validate_pt(t, diagonal_unprimed=False)
-    if msg is not None:
-        raise InvariantError(f"recording tableau invalid: {msg}")
-    return rows, t
+    return rows, tb.from_cells(tb.shape_of(rows), t_cells)
 
 
 def pkr_inverse(p: Rows, t: Rows, m: int):
@@ -330,7 +335,7 @@ def pkr_inverse(p: Rows, t: Rows, m: int):
         factors.append((sign, tuple(reversed(letters))))
     fact = tuple(reversed(factors))
     try:
-        if pkr(fact) == (p, t):
+        if _pkr(fact) == (p, t):
             return fact
     except ValueError:
         pass

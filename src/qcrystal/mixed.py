@@ -16,8 +16,8 @@ hm_inverse undoes the chains cell by cell with one predecessor rule:
 v came from the last entry u < v of the line before its own (row or
 column k - 1), and u then moves on by the forward routing.  Only a
 column chain may step back onto the diagonal, where v is unprimed
-back and u must be unprimed.  Every recovered word is re-inserted and
-compared, so off-image pairs always raise.
+back and u must be unprimed.  Every recovered word is re-inserted by
+the loop of hm (_hm) and compared, so off-image pairs always raise.
 """
 
 from __future__ import annotations
@@ -66,6 +66,18 @@ def _insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:
 
 def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
     """Insert a word; returns the (insertion, recording) tableau pair."""
+    p, q = _hm(word)
+    msg = tb.validate_pt(p)
+    if msg is not None:
+        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
+    msg = tb.validate_st(q)
+    if msg is not None:
+        raise InvariantError(f"recording tableau invalid: {msg}")
+    return p, q
+
+
+def _hm(word: Sequence[int]) -> tuple[Rows, Rows]:
+    """hm without its checks of the final P and Q."""
     if any(a < 1 for a in word):
         raise ValueError(f"word {tuple(word)} has a letter below 1")
     p: Rows = ()
@@ -77,14 +89,7 @@ def hm(word: Sequence[int]) -> tuple[Rows, Rows]:
         if len(q_work[r]) != c - r:
             raise InvariantError("recording cell out of order")
         q_work[r].append(step)
-    msg = tb.validate_pt(p)
-    if msg is not None:
-        raise InvariantError(f"insertion produced an invalid tableau: {msg}")
-    q = tb.freeze(q_work)
-    msg = tb.validate_st(q)
-    if msg is not None:
-        raise InvariantError(f"recording tableau invalid: {msg}")
-    return p, q
+    return p, tb.freeze(q_work)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,6 @@ def hm_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
         rows, letter = _reverse_chain(rows, r, c)
         out.append(letter)
     word = tuple(reversed(out))
-    if hm(word) != (p, q):
+    if _hm(word) != (p, q):  # p and q were checked on entry
         raise NotInImage("reverse bumping does not reproduce the pair")
     return word

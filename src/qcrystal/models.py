@@ -1,16 +1,18 @@
 """Ready-made CrystalModel instances for the five element types.
 
-Words carry the primitive operators; decomposition tableaux inherit them
-through their reading word; primed tableaux have native operators; the
-signed variants and factorizations wrap those in sign bookkeeping and
-insertion transport.  Each builder fixes n (the number of weight
-coordinates), a canonical text form for vertices, and the family's
-validator (looked up on tableaux at call time), which engine.component
-runs once on every vertex it reaches.  fact_component closes a
-factorization component on its recording tableau.
+Words carry the primitive operators and primed tableaux have native
+ones; signed primed tableaux wrap those in sign bookkeeping.  The other
+two families are those crystals under a new name, closed on their proxy
+(CrystalModel.via): decomposition tableaux on words through the reading
+word, and signed unimodal factorizations on signed primed tableaux
+through the primed insertion, which keeps P fixed.  Each builder fixes n
+(the number of weight coordinates), a canonical text form for vertices,
+and the family's validator (looked up on tableaux at call time), which
+engine.component runs once on every vertex it reaches.
 """
 
-from . import engine
+import itertools
+
 from . import factorization as fc
 from . import kraskiewicz as kw
 from . import ptops
@@ -36,30 +38,22 @@ def model_words(n: int) -> CrystalModel:
     )
 
 
-def _ssdt_op(op, t: Rows):
-    """op on the reading word of t, cut back into rows of t's shape."""
-    out = op(tb.rw_ssdt(t))
-    if out is None:
-        return None
-    rows, pos = [], 0
-    for row in t:
-        rows.append(tuple(reversed(out[pos:pos + len(row)])))
-        pos += len(row)
-    return tuple(rows)
+def _ssdt_lift(t: Rows):
+    """The reading word of t, and the cut of a word back into t's shape."""
+    ends = list(itertools.accumulate(map(len, t)))
+    return tb.rw_ssdt(t), lambda w: tuple(
+        tuple(reversed(w[a:b])) for a, b in zip([0] + ends, ends))
 
 
 def model_ssdt(n: int) -> CrystalModel:
-    """Decomposition tableaux; operators act through the reading word."""
+    """Decomposition tableaux, closed on words through the reading word."""
     return CrystalModel(
         n=n,
-        e=lambda i, t: _ssdt_op(lambda w: words.e_even(i, w), t),
-        f=lambda i, t: _ssdt_op(lambda w: words.f_even(i, w), t),
         weight=lambda t: tb.ssdt_weight(t, n),
-        e_bar=(lambda t: _ssdt_op(words.e_bar1, t)) if n >= 2 else None,
-        f_bar=(lambda t: _ssdt_op(words.f_bar1, t)) if n >= 2 else None,
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
         validate=lambda t: tb.validate_ssdt(t),
+        via=(model_words(n), _ssdt_lift),
     )
 
 
@@ -94,48 +88,23 @@ def model_spt(m: int) -> CrystalModel:
 
 
 def model_fact(m: int) -> CrystalModel:
-    """Signed unimodal factorizations with m factors."""
+    """Signed unimodal factorizations with m factors, closed on their
+    recording tableaux; the odd pair is factor surgery."""
+    def lift(seed):
+        if len(seed) != m:
+            raise ValueError(f"seed has {len(seed)} factors, expected {m}")
+        p, t = kw.pkr(seed)
+        return t, lambda v: kw.pkr_inverse(p, v, m=m)
+
     return CrystalModel(
         n=m,
-        e=lambda i, x: fc.e_fact(x, i),
-        f=lambda i, x: fc.f_fact(x, i),
         weight=typeb.fact_weight,
         e_bar=fc.e_bar1_fact if m >= 2 else None,
         f_bar=fc.f_bar1_fact if m >= 2 else None,
         fmt=typeb.fmt_factorization,
         name=f"fact{m}",
+        via=(model_spt(m), lift),
     )
-
-
-def fact_component(seed, m: int) -> engine.CrystalGraph:
-    """The component of seed in model_fact(m), closed on recording tableaux.
-
-    The even operators are transported through the primed insertion, which
-    keeps the insertion tableau P fixed, so the component is the signed
-    primed tableau component of the seed's recording tableau, mapped back
-    by one pkr_inverse per vertex.  The odd pair is recomputed by factor
-    surgery on every vertex and must land where transport does, else
-    InvariantError.  The graph equals engine.component(model_fact(m),
-    seed), vertex and edge order included, and the vertex cap is the same.
-    """
-    if len(seed) != m:
-        raise ValueError(f"seed has {len(seed)} factors, expected {m}")
-    p, t = kw.pkr(seed)
-    g = engine.component(model_spt(m), t)
-    facts = [kw.pkr_inverse(p, v, m=m) for v in g.vertices]
-    colors = [*range(1, m), "b1"]
-    arrows = [tuple(edges.get((c, k)) for c in colors
-                    for edges in (g.f_edges, g.e_edges))
-              for k in range(len(facts))]
-    model = model_fact(m)
-    if model.f_bar is not None:
-        for x, row in zip(facts, arrows):
-            moved = tuple(None if k is None else facts[k] for k in row[-2:])
-            if (model.f_bar(x), model.e_bar(x)) != moved:
-                raise tb.InvariantError(
-                    "odd operators disagree with transport at "
-                    + typeb.fmt_factorization(x))
-    return engine._sorted_graph(model, facts, arrows)
 
 
 def seed_factorization(perm: tuple, m: int):

@@ -17,15 +17,17 @@ def assert_same_graph(got, want):
     assert list(got.e_edges.items()) == list(want.e_edges.items())
 
 
-def compare_components(model, elements):
-    """Close every element both ways; return the number of components."""
+def compare_components(model, elements, oracle=None):
+    """Close every element both ways; return the number of components.
+
+    The reference closes oracle, the per-call form of a proxied model."""
     seen = set()
     count = 0
     for b in elements:
         if b in seen:
             continue
         got = engine.component(model, b)
-        assert_same_graph(got, ref.component(model, b))
+        assert_same_graph(got, ref.component(oracle or model, b))
         seen.update(got.vertices)
         count += 1
     return count
@@ -49,7 +51,8 @@ def test_tableau_components_match_reference():
         count += compare_components(models.model_pt(n),
                                     tb.enumerate_pt(n, shape))
         count += compare_components(models.model_ssdt(n),
-                                    tb.enumerate_ssdt(n, shape))
+                                    tb.enumerate_ssdt(n, shape),
+                                    ref.model_ssdt(n))
         count += compare_components(
             models.model_spt(n),
             tb.enumerate_pt(n, shape, diagonal_unprimed=False))
@@ -66,8 +69,18 @@ def test_factorization_components_match_reference():
             if length > (3 if m == 3 else 5):
                 continue
             count += compare_components(
-                models.model_fact(m), typeb.enumerate_factorizations(perm, m))
+                models.model_fact(m), typeb.enumerate_factorizations(perm, m),
+                ref.model_fact(m))
     assert count == 201
+
+
+def test_benchmark_ssdt_component_matches_per_call_closure():
+    # graph-ssdt's component, closed on words through the reading word,
+    # against the closure under the conjugated operators themselves
+    seed = models.highest_ssdt(5, (5, 3, 1))
+    got = engine.component(models.model_ssdt(5), seed)
+    assert len(got) == 11200
+    assert_same_graph(got, engine.component(ref.model_ssdt(5), seed))
 
 
 @pytest.mark.parametrize("model,seed", [

@@ -1,15 +1,18 @@
 """Factorization components closed on the recording tableau.
 
-``models.fact_component`` closes the signed primed tableau component of
-the seed's recording tableau and maps each vertex back through
-``pkr_inverse``; ``engine.component(model_fact(m), seed)``, which applies
-the factorization operators themselves, is its oracle.
+``engine.component(models.model_fact(m), seed)`` closes the signed primed
+tableau component of the seed's recording tableau (the model's proxy)
+and maps each vertex back through ``pkr_inverse``; the closure of
+``reference_closure.model_fact(m)``, which applies the factorization
+operators themselves, is its oracle.
 """
 
 import pytest
 
-from qcrystal import cli, engine, models, typeb
+import reference_closure as ref
+from qcrystal import cli, engine, models, ptops, typeb
 from qcrystal import factorization as fc
+from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 
 GRAPH_FACT_ARGV = ["graph", "--model", "fact", "--perm", "2,-3,1", "--m", "4",
@@ -22,7 +25,7 @@ def all_components(perm, m):
     seen = set()
     for b in typeb.enumerate_factorizations(perm, m):
         if b not in seen:
-            g = models.fact_component(b, m)
+            g = engine.component(models.model_fact(m), b)
             seen.update(g.vertices)
             out.append((b, m, g))
     return out
@@ -40,14 +43,14 @@ def rank3_components():
 def components():
     out = rank3_components()
     seed = models.seed_factorization((2, -3, 1), 4)
-    return out + [(seed, 4, models.fact_component(seed, 4))]
+    return out + [(seed, 4, engine.component(models.model_fact(4), seed))]
 
 
 def test_components_match_oracle(components):
     assert len(components) == 194 + 79 + 1
     assert len(components[-1][2]) == 204
     for seed, m, g in components:
-        want = engine.component(models.model_fact(m), seed)
+        want = engine.component(ref.model_fact(m), seed)
         assert g.model.name == want.model.name
         assert g.vertices == want.vertices
         assert list(g.f_edges.items()) == list(want.f_edges.items())
@@ -72,7 +75,7 @@ def rank5_components():
                              ((-5, 1, 3, 2, 4), 3)]
            for c in all_components(perm, m)]
     seed = models.seed_factorization((2, 3, 5, -1, 4), 4)
-    return out + [(seed, 4, models.fact_component(seed, 4))]
+    return out + [(seed, 4, engine.component(models.model_fact(4), seed))]
 
 
 def test_rank5_components_match_oracle(rank5_components):
@@ -80,7 +83,7 @@ def test_rank5_components_match_oracle(rank5_components):
     assert [len(g) for _, _, g in rank5_components] == [
         12, 12, 73, 73, 80, 80, 73, 73, 80, 80, 204]
     for seed, m, g in rank5_components:
-        want = engine.component(models.model_fact(m), seed)
+        want = engine.component(ref.model_fact(m), seed)
         assert g.vertices == want.vertices
         assert list(g.f_edges.items()) == list(want.f_edges.items())
         assert list(g.e_edges.items()) == list(want.e_edges.items())
@@ -94,14 +97,14 @@ def test_rank5_components_pass_the_q_axioms(rank5_components):
 
 
 def test_identity_component_is_one_vertex():
-    g = models.fact_component(((0, ()), (0, ())), 2)
+    g = engine.component(models.model_fact(2), ((0, ()), (0, ())))
     assert g.vertices == [((0, ()), (0, ()))]
     assert g.f_edges == g.e_edges == {}
 
 
 def test_seed_with_wrong_factor_count_rejected():
     with pytest.raises(ValueError, match="seed has 2 factors, expected 3"):
-        models.fact_component(((1, (1,)), (0, ())), 3)
+        engine.component(models.model_fact(3), ((1, (1,)), (0, ())))
 
 
 def plant_disagreeing_surgery(monkeypatch, name):
@@ -120,7 +123,7 @@ def test_odd_surgery_disagreeing_with_transport_raises(monkeypatch, name):
     plant_disagreeing_surgery(monkeypatch, name)
     seed = models.seed_factorization((2, -3, 1), 4)
     with pytest.raises(tb.InvariantError, match="odd operators disagree"):
-        models.fact_component(seed, 4)
+        engine.component(models.model_fact(4), seed)
 
 
 @pytest.mark.parametrize("name", ["f_bar1_fact", "e_bar1_fact"])
@@ -146,3 +149,35 @@ def test_cap_on_the_benchmark_component(capsys, monkeypatch, cap, code):
         assert err == "error: component exceeded the vertex cap 203\n"
     else:
         assert err == ""
+
+
+def plant_spt_fault(monkeypatch):
+    """validate_pt fails one recording tableau of the benchmark component
+    other than the seed's; returns that seed."""
+    seed = models.seed_factorization((2, -3, 1), 4)
+    _, t = kw.pkr(seed)
+    bad = ptops.f_signed(1, t)
+    assert bad is not None and bad != t
+    real = tb.validate_pt
+    monkeypatch.setattr(
+        tb, "validate_pt",
+        lambda rows, *args, **kwargs:
+            "planted fault" if rows == bad else real(rows, *args, **kwargs))
+    return seed
+
+
+def test_proxy_fault_is_an_operator_fault_not_bad_input(monkeypatch):
+    # the proxy's own check runs before pkr_inverse, whose input check
+    # would call the same tableau NotInImage, a ValueError
+    seed = plant_spt_fault(monkeypatch)
+    with pytest.raises(tb.InvariantError,
+                       match="^operator left the family: planted fault$"):
+        engine.component(models.model_fact(4), seed)
+
+
+def test_proxy_fault_exits_4(capsys, monkeypatch):
+    plant_spt_fault(monkeypatch)
+    assert cli.main(GRAPH_FACT_ARGV) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: operator left the family: planted fault\n"

@@ -126,10 +126,11 @@ DEFAULT_SWEEP = [(p, m) for p in typeb.enumerate_perms(3)
 @pytest.mark.parametrize("sweep, size", [(DEFAULT_SWEEP, 3203),
                                          ([((2, -3, 1), 3)], 192)],
                          ids=["default", "perm-2,-3,1-m-3"])
-def test_fibre_table_equals_transport(sweep, size):
-    # every answer comes from the table: a miss would call the fallback
-    def miss(fact):
-        raise AssertionError(f"{fmt(fact)} missed the table")
+def test_fibre_table_equals_transport(monkeypatch, sweep, size):
+    # every answer comes from the table: a miss would call pkr_inverse,
+    # planted here to raise
+    def miss(p, t, m):
+        raise AssertionError(f"{tb.fmt_primed(t)} missed the table")
 
     facts = 0
     for perm, m in sweep:
@@ -137,12 +138,14 @@ def test_fibre_table_equals_transport(sweep, size):
         table_facts, read = verify._fibre_table(perm, m, failures)
         assert failures == []
         assert table_facts == list(typeb.enumerate_factorizations(perm, m))
-        for fact in table_facts:
+        with monkeypatch.context() as planted:
+            planted.setattr(kw, "pkr_inverse", miss)
+            answers = [(read(fact, ptops.e_signed), read(fact, ptops.f_signed))
+                       for fact in table_facts]
+        for fact, (up, down) in zip(table_facts, answers):
             facts += 1
-            assert (read(fact, ptops.e_signed, miss)
-                    == fc.e_bar1_transport(fact)), fmt(fact)
-            assert (read(fact, ptops.f_signed, miss)
-                    == fc.f_bar1_transport(fact)), fmt(fact)
+            assert up == fc.e_bar1_transport(fact), fmt(fact)
+            assert down == fc.f_bar1_transport(fact), fmt(fact)
     assert facts == size
 
 

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+import reference_closure as ref_closure
 import reference_weyl as ref
-from qcrystal import engine, models, ptops, typeb
+from qcrystal import engine, models, ptops, typeb, verify
 from qcrystal import tableaux as tb
 
 
@@ -52,7 +53,8 @@ def test_ssdt_extremes():
 
 
 def test_ssdt_extremes_are_extremal():
-    model = models.model_ssdt(3)
+    # the library model has no operators of its own: read them per call
+    model = ref_closure.model_ssdt(3)
     hi = models.highest_ssdt(3, (2, 1))
     lo = models.lowest_ssdt(3, (2, 1))
     assert ref.is_q_highest(model, hi)
@@ -117,6 +119,48 @@ def test_model_fact_agrees_with_spt_counts():
     )
     assert len(ps) == 2
     assert total == len(facts) == 162
+
+
+def test_proxied_models_have_no_operators_of_their_own():
+    for model in (models.model_ssdt(3), models.model_fact(3)):
+        assert model.e is None and model.f is None
+        assert model.colors == model.via[0].colors == [1, 2, "b1"]
+    assert models.model_ssdt(3).e_bar is None
+
+
+def _recording_checks(monkeypatch):
+    called = []
+    for name in ("check_gl_axioms", "check_q_axioms"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda g, name=name, real=real:
+                            called.append(name) or real(g))
+    return called
+
+
+def test_model_fact_1_gets_gl_not_q0(monkeypatch):
+    # one factor: neither the proxy nor the model has the odd pair
+    model = models.model_fact(1)
+    assert model.colors == []
+    g = engine.component(model, models.seed_factorization((2, 1), 1))
+    assert [f["condition"] for f in engine.check_q_axioms(g)["failures"]] \
+        == ["q0"]
+    called = _recording_checks(monkeypatch)
+    failures = []
+    facts = [f for perm in typeb.enumerate_perms(2)
+             for f in typeb.enumerate_factorizations(perm, 1)]
+    assert verify._check_axioms(model, facts, failures) == len(facts) > 0
+    assert failures == []
+    assert "check_q_axioms" not in called
+
+
+def test_model_ssdt_gets_q_through_its_proxy(monkeypatch):
+    # model_ssdt has no e_bar of its own; its colors are the word crystal's
+    called = _recording_checks(monkeypatch)
+    failures = []
+    ssdt = tb.enumerate_ssdt(3, (2, 1))
+    assert verify._check_axioms(models.model_ssdt(3), ssdt, failures) == 8
+    assert failures == []
+    assert called == ["check_q_axioms", "check_gl_axioms"]  # q runs gl
 
 
 def _planted_fault(rows, n=None):
@@ -194,10 +238,19 @@ def test_component_validates_each_distinct_output_once(
         checked.clear()
         model = getattr(models, builder)(4)
         outputs = set()
-        model = dataclasses.replace(model, **{
-            op: _recording(getattr(model, op), outputs)
+        # a proxied model's operator outputs are its proxy's, mapped back
+        proxy, back = model, None
+        if model.via is not None:
+            proxy, lift = model.via
+            _, back = lift(seed)
+        proxy = dataclasses.replace(proxy, **{
+            op: _recording(getattr(proxy, op), outputs)
             for op in ("e", "f", "e_bar", "f_bar")})
+        model = (proxy if back is None
+                 else dataclasses.replace(model, via=(proxy, lift)))
         g = engine.component(model, seed)
+        if back is not None:
+            outputs = set(map(back, outputs))
         assert len(g) == size
         assert outputs == set(g.vertices)
         assert sorted(checked) == sorted(outputs)
@@ -215,13 +268,13 @@ def _recording(op, outputs):
 def test_ssdt_output_that_fails_is_never_cached(monkeypatch):
     # the operators no longer check; the closure does, on every run
     hi = models.highest_ssdt(3, (2, 1))
-    bad = models.model_ssdt(3).f(1, hi)
+    bad = ref_closure.model_ssdt(3).f(1, hi)
     real = tb.validate_ssdt
     monkeypatch.setattr(
         tb, "validate_ssdt",
         lambda rows, n=None: "planted fault" if rows == bad else real(rows, n))
     model = models.model_ssdt(3)
-    assert model.f(1, hi) == bad
+    assert ref_closure.model_ssdt(3).f(1, hi) == bad
     for m in (model, model, models.model_ssdt(3)):
         with pytest.raises(tb.InvariantError,
                            match="operator left the family: planted fault"):

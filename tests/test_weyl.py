@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+import reference_closure as ref_closure
 import reference_weyl as ref
 from qcrystal import engine, models, typeb
 from qcrystal import tableaux as tb
@@ -21,10 +22,11 @@ def memoized(model):
     return dataclasses.replace(model, **ops)
 
 
-def assert_graph_walk_matches(g):
+def assert_graph_walk_matches(g, oracle=None):
     """find_highest/find_lowest, and S_i for every color and two longer
-    Weyl words on every vertex, of g agree with the reference."""
-    model, vertices = memoized(g.model), g.vertices
+    Weyl words on every vertex, of g agree with the reference, which
+    walks oracle (the per-call form of a proxied model) or g.model."""
+    model, vertices = memoized(oracle or g.model), g.vertices
     words = [[i] for i in range(1, model.n)]
     words += [engine.w_word(model.n - 1), engine.w0_word(model.n)]
     for u, b in enumerate(vertices):
@@ -35,14 +37,14 @@ def assert_graph_walk_matches(g):
     assert ref.find_lowest(model, vertices) == [engine.find_lowest(g)]
 
 
-def check_components(model, elements):
+def check_components(model, elements, oracle=None):
     """Run the comparison on every component of elements; count them."""
     seen = set()
     count = 0
     for b in elements:
         if b not in seen:
             g = engine.component(model, b)
-            assert_graph_walk_matches(g)
+            assert_graph_walk_matches(g, oracle)
             seen.update(g.vertices)
             count += 1
     return count
@@ -66,7 +68,8 @@ def test_tableau_components(n, size, components):
             continue
         count += check_components(models.model_pt(n), tb.enumerate_pt(n, shape))
         count += check_components(models.model_ssdt(n),
-                                  tb.enumerate_ssdt(n, shape))
+                                  tb.enumerate_ssdt(n, shape),
+                                  ref_closure.model_ssdt(n))
         count += check_components(
             models.model_spt(n),
             tb.enumerate_pt(n, shape, diagonal_unprimed=False))
@@ -74,17 +77,13 @@ def test_tableau_components(n, size, components):
 
 
 def test_factorization_components():
-    # rank 3, length <= 4, m in {2, 3}; models.fact_component closes them
+    # rank 3, length <= 4, m in {2, 3}; closed on recording tableaux
     count = 0
     for perm in typeb.enumerate_perms(3):
         if typeb.length(perm) > 4:
             continue
         for m in (2, 3):
-            seen = set()
-            for b in typeb.enumerate_factorizations(perm, m):
-                if b not in seen:
-                    g = models.fact_component(b, m)
-                    assert_graph_walk_matches(g)
-                    seen.update(g.vertices)
-                    count += 1
+            count += check_components(models.model_fact(m),
+                                      typeb.enumerate_factorizations(perm, m),
+                                      ref_closure.model_fact(m))
     assert count == 158
