@@ -3,7 +3,11 @@
 Four subcommands: ``insert`` runs one of the insertion algorithms on a
 word or factorization, ``graph`` exports the crystal component of a seed
 as DOT or JSON, ``enumerate`` lists a finite family with its count, and
-``verify`` runs the exhaustive check suites.
+``verify`` runs the exhaustive check suites.  ``graph``, ``enumerate``
+and ``verify`` each name in one table the options that each choice
+reads; any other is rejected, and for ``graph`` and ``enumerate`` every
+one read is required.  A ``graph`` seed is checked by its model's own
+``validate``, alphabet included.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 vertex cap
 exceeded (the cap honors the QCRYSTAL_MAX_VERTICES environment variable),
@@ -35,9 +39,9 @@ def _shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+def _require(options: dict) -> None:
+    for name, value in options.items():
+        if value is None:
             raise ValueError(f"--{name} is required here")
 
 
@@ -72,32 +76,29 @@ def _check_seed(seed, msg, shape) -> None:
                          f"expected {shape}")
 
 
+# tableau models: the builder's name on models (looked up at call time),
+# the seed parser, the default seed, and the option bounding the alphabet
+_TABLEAU_MODELS = {
+    "pt": ("model_pt", tb.parse_primed, ptops.highest_pt, "n"),
+    "ssdt": ("model_ssdt", tb.parse_plain, models.highest_ssdt, "n"),
+    "spt": ("model_spt", tb.parse_primed, ptops.highest_pt, "m"),
+}
+
+
 def _graph_component(args) -> engine.CrystalGraph:
     if args.model == "words":
-        _require(args, ["n", "seed"])
+        _require({"seed": args.seed})
         seed = typeb.parse_word(args.seed)
         words.weight(seed, args.n)  # rejects letters outside 1..n
         return engine.component(models.model_words(args.n), seed)
-    if args.model == "pt":
-        _require(args, ["n", "shape"])
-        seed = (tb.parse_primed(args.seed) if args.seed is not None
-                else ptops.highest_pt(args.n, args.shape))
-        _check_seed(seed, tb.validate_pt(seed, n=args.n), args.shape)
-        return engine.component(models.model_pt(args.n), seed)
-    if args.model == "ssdt":
-        _require(args, ["n", "shape"])
-        seed = (tb.parse_plain(args.seed) if args.seed is not None
-                else models.highest_ssdt(args.n, args.shape))
-        _check_seed(seed, tb.validate_ssdt(seed, n=args.n), args.shape)
-        return engine.component(models.model_ssdt(args.n), seed)
-    if args.model == "spt":
-        _require(args, ["m", "shape"])
-        seed = (tb.parse_primed(args.seed) if args.seed is not None
-                else ptops.highest_pt(args.m, args.shape))
-        msg = tb.validate_pt(seed, n=args.m, diagonal_unprimed=False)
-        _check_seed(seed, msg, args.shape)
-        return engine.component(models.model_spt(args.m), seed)
-    _require(args, ["perm", "m"])
+    if args.model in _TABLEAU_MODELS:
+        builder, parse, highest, bound = _TABLEAU_MODELS[args.model]
+        n = getattr(args, bound)
+        model = getattr(models, builder)(n)
+        seed = (parse(args.seed) if args.seed is not None
+                else highest(n, args.shape))
+        _check_seed(seed, model.validate(seed), args.shape)
+        return engine.component(model, seed)
     perm = typeb.parse_perm(args.perm)
     seed = (typeb.parse_factorization(args.seed) if args.seed is not None
             else models.seed_factorization(perm, args.m))
@@ -126,14 +127,15 @@ def _read_options(args, selector: str, table) -> dict:
     return read
 
 
-# graph options that only some models read, with those models
+# graph options with the models that read them: each is required there
+# and rejected elsewhere
 _MODEL_OPTIONS = (("n", ("words", "pt", "ssdt")), ("m", ("spt", "fact")),
                   ("shape", ("pt", "ssdt", "spt")), ("perm", ("fact",)))
 
 
 def cmd_graph(args) -> int:
     _at_least_one(args, ["n", "m"])
-    _read_options(args, "model", _MODEL_OPTIONS)
+    _require(_read_options(args, "model", _MODEL_OPTIONS))
     g = _graph_component(args)
     if args.format == "dot":
         sys.stdout.write(engine.to_dot(g))
@@ -142,7 +144,8 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# enumerate options that only some families read, with those families
+# enumerate options with the families that read them: each is required
+# there and rejected elsewhere
 _FAMILY_OPTIONS = (("n", ("pt", "ssdt")), ("m", ("factorizations",)),
                    ("shape", ("pt", "ssdt")),
                    ("perm", ("reduced", "factorizations")))
@@ -150,21 +153,17 @@ _FAMILY_OPTIONS = (("n", ("pt", "ssdt")), ("m", ("factorizations",)),
 
 def cmd_enumerate(args) -> int:
     _at_least_one(args, ["n", "m"])
-    _read_options(args, "what", _FAMILY_OPTIONS)
+    _require(_read_options(args, "what", _FAMILY_OPTIONS))
     if args.what == "reduced":
-        _require(args, ["perm"])
         items = [typeb.fmt_word(w)
                  for w in typeb.enumerate_reduced(typeb.parse_perm(args.perm))]
     elif args.what == "factorizations":
-        _require(args, ["perm", "m"])
         items = [typeb.fmt_factorization(f) for f in
                  typeb.enumerate_factorizations(
                      typeb.parse_perm(args.perm), args.m)]
     elif args.what == "pt":
-        _require(args, ["n", "shape"])
         items = [tb.fmt_primed(t) for t in tb.enumerate_pt(args.n, args.shape)]
     else:
-        _require(args, ["n", "shape"])
         items = [tb.fmt_plain(t)
                  for t in tb.enumerate_ssdt(args.n, args.shape)]
     for item in items:

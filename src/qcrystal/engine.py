@@ -104,9 +104,7 @@ class CrystalGraph:
         return len(self.vertices)
 
 
-def _cap_from_env(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
+def _cap_from_env() -> int:
     text = os.environ.get("QCRYSTAL_MAX_VERTICES", str(DEFAULT_CAP))
     try:
         value = int(text)
@@ -118,8 +116,7 @@ def _cap_from_env(cap: Optional[int]) -> int:
     return value
 
 
-def component(model: CrystalModel, seed: Element,
-              cap: Optional[int] = None) -> CrystalGraph:
+def component(model: CrystalModel, seed: Element) -> CrystalGraph:
     """BFS closure of seed under all e/f arrows, as an explicit graph.
 
     One pass: every vertex gets an id when it is first reached, and f then
@@ -127,18 +124,18 @@ def component(model: CrystalModel, seed: Element,
     targets kept as ids.  e is applied on its own, never read off the
     f-arrows, so mispaired operators still fail gl4/q4.  model.validate
     runs on each vertex, the seed included, as it is first reached, so
-    every operator output is checked once.  A failure is an InvariantError:
-    "seed is not in the family" on the seed, "operator left the family"
-    on any other vertex.  A model with via = (proxy, lift) is closed on
-    the proxy from lift's image of the seed; each vertex is checked against
-    proxy.validate, then mapped back once and checked against
-    model.validate, and the model's own odd pair, if any, must land where
-    the proxy's b1 arrows do.
+    every operator output is checked once against the family, alphabet
+    included.  A failure is an InvariantError: "seed is not in the family"
+    on the seed, "operator left the family" on any other vertex.  A model
+    with via = (proxy, lift) is closed on the proxy from lift's image of
+    the seed; each vertex is checked against proxy.validate, then mapped
+    back once and checked against model.validate, and the model's own odd
+    pair, if any, must land where the proxy's b1 arrows do.
     Vertices are then sorted by their canonical encoding, so two runs over
     the same component produce identical graphs.  Raises CapExceeded if
     the closure grows past the cap (QCRYSTAL_MAX_VERTICES or 10**6).
     """
-    cap = _cap_from_env(cap)
+    cap = _cap_from_env()
     proxy, lift = model.via or (model, None)
     seed, back = lift(seed) if lift else (seed, None)
     ids: dict[Element, int] = {}

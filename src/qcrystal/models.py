@@ -7,8 +7,10 @@ two families are those crystals under a new name, closed on their proxy
 word, and signed unimodal factorizations on signed primed tableaux
 through the primed insertion, which keeps P fixed.  Each builder fixes n
 (the number of weight coordinates), a canonical text form for vertices,
-and the family's validator (looked up on tableaux at call time), which
-engine.component runs once on every vertex it reaches.
+and the family's validator over that alphabet (looked up on tableaux at
+call time): 1'..n for PT and SPT, 1..n for SSDT.  It is the one
+statement of the family; engine.component runs it once on every vertex
+it reaches, and the CLI runs it on a --seed.
 """
 
 import itertools
@@ -52,7 +54,7 @@ def model_ssdt(n: int) -> CrystalModel:
         weight=lambda t: tb.ssdt_weight(t, n),
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
-        validate=lambda t: tb.validate_ssdt(t),
+        validate=lambda t: tb.validate_ssdt(t, n=n),
         via=(model_words(n), _ssdt_lift),
     )
 
@@ -68,7 +70,7 @@ def model_pt(n: int) -> CrystalModel:
         f_bar=ptops.f_bar1_pt if n >= 2 else None,
         fmt=tb.fmt_primed,
         name=f"pt{n}",
-        validate=lambda t: tb.validate_pt(t),
+        validate=lambda t: tb.validate_pt(t, n=n),
     )
 
 
@@ -83,7 +85,7 @@ def model_spt(m: int) -> CrystalModel:
         f_bar=(lambda t: ptops.f_signed("b1", t)) if m >= 2 else None,
         fmt=tb.fmt_primed,
         name=f"spt{m}",
-        validate=lambda t: tb.validate_pt(t, diagonal_unprimed=False),
+        validate=lambda t: tb.validate_pt(t, n=m, diagonal_unprimed=False),
     )
 
 

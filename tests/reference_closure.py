@@ -14,8 +14,6 @@ for the library's models, which name the proxy (``CrystalModel.via``)
 and are closed on it.
 """
 
-from typing import Optional
-
 from qcrystal import factorization as fc
 from qcrystal import typeb, words
 from qcrystal import tableaux as tb
@@ -23,10 +21,9 @@ from qcrystal.engine import (CapExceeded, Color, CrystalGraph, CrystalModel,
                              Element, _cap_from_env)
 
 
-def component(model: CrystalModel, seed: Element,
-              cap: Optional[int] = None) -> CrystalGraph:
+def component(model: CrystalModel, seed: Element) -> CrystalGraph:
     """BFS closure of seed under all e/f arrows, then a separate edge pass."""
-    cap = _cap_from_env(cap)
+    cap = _cap_from_env()
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -100,7 +97,7 @@ def model_ssdt(n: int) -> CrystalModel:
         f_bar=(lambda t: _ssdt_op(words.f_bar1, t)) if n >= 2 else None,
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
-        validate=lambda t: tb.validate_ssdt(t),
+        validate=lambda t: tb.validate_ssdt(t, n=n),
     )
 
 

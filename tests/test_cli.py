@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcrystal import cli, models, ptops, verify
+from qcrystal import cli, models, ptops, verify, words
 from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 
@@ -165,6 +165,25 @@ def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
     assert report["checked"] == 13519
     assert ({f["check"] for f in report["failures"]}
             == {"kr", "kr-fiber", "pkr"})
+
+
+def test_witnesses_print_through_the_text_codec(monkeypatch):
+    # words and permutations in a witness are fmt_word/fmt_perm text,
+    # as in the hm and pkr witnesses, not JSON lists
+    real = kw.pkr_inverse
+    monkeypatch.setattr(kw, "pkr_inverse",
+                        lambda p, t, m: real(p, t, m)[::-1])
+    monkeypatch.setattr(kw, "vee_bottom", lambda q, i, j: None)
+    monkeypatch.setattr(tb, "enumerate_st", lambda shape: [])
+    assert verify.check_kr_roundtrip(2, 2)["failures"][:2] == [
+        {"check": "kr", "word": "01", "detail": "round trip failed"},
+        {"check": "kr", "word": "10", "detail": "round trip failed"}]
+    assert verify.check_kr_roundtrip(2, 1)["failures"][-1] == {
+        "check": "kr-fiber", "perm": "2,1", "p": "1",
+        "detail": "fiber has 1 of 0 tableaux"}
+    assert verify.check_vee(2, 1)["failures"][0] == {
+        "check": "vee", "word": "0", "i": 1, "j": 1,
+        "detail": "unimodal=True bottom=None"}
 
 
 def test_pt_transport_records_a_rule_error(monkeypatch):
@@ -486,3 +505,81 @@ def test_graph_and_enumerate_reject_options_they_ignore(capsys, argv,
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# each graph model and enumerate family with every option it requires
+_REQUIRED = [
+    ("graph", "--model", "words", {"--n": "2", "--seed": "12"}),
+    ("graph", "--model", "pt", {"--n": "3", "--shape": "2,1"}),
+    ("graph", "--model", "ssdt", {"--n": "3", "--shape": "2,1"}),
+    ("graph", "--model", "spt", {"--m": "3", "--shape": "2,1"}),
+    ("graph", "--model", "fact", {"--perm": "2,1", "--m": "2"}),
+    ("enumerate", "--what", "reduced", {"--perm": "2,1"}),
+    ("enumerate", "--what", "factorizations", {"--perm": "2,1", "--m": "2"}),
+    ("enumerate", "--what", "pt", {"--n": "2", "--shape": "2,1"}),
+    ("enumerate", "--what", "ssdt", {"--n": "2", "--shape": "2,1"}),
+]
+_MISSING = [(command, selector, choice, options, missing)
+            for command, selector, choice, options in _REQUIRED
+            for missing in options]
+
+
+@pytest.mark.parametrize(
+    "command, selector, choice, options, missing", _MISSING,
+    ids=[f"{c[0]}-{c[2]}-{c[4][2:]}" for c in _MISSING])
+def test_missing_required_option_is_named(capsys, command, selector, choice,
+                                          options, missing):
+    given = [x for name, value in options.items() if name != missing
+             for x in (name, value)]
+    code, out, err = run(capsys, command, selector, choice, *given)
+    assert (code, out, err) == (2, "", f"error: {missing} is required here\n")
+    code, out, _ = run(capsys, command, selector, choice,
+                       *[x for item in options.items() for x in item])
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["graph", "--model", "fact"], "--m"),
+    (["enumerate", "--what", "factorizations"], "--m"),
+])
+def test_two_missing_options_name_the_first_in_the_table(capsys, argv,
+                                                         missing):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {missing} is required here\n")
+
+
+def _set_first_row_end(rows, code):
+    return None if rows is None else (rows[0][:-1] + (code,),) + rows[1:]
+
+
+def _set_first_letter(word, letter):
+    return None if word is None else (letter,) + word[1:]
+
+
+# a model with alphabet 1..3, and an operator fault that writes the letter
+# 4 into every output, with the family check it then fails
+_OUT_OF_ALPHABET = {
+    "pt": (["--n", "3"], ptops, "f_even_pt",
+           lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
+           "entry 4 at (1, 2) out of range"),
+    "spt": (["--m", "3"], ptops, "f_signed",
+            lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
+            "entry 4 at (1, 2) out of range"),
+    "ssdt": (["--n", "3"], words, "f_even",
+             lambda op: lambda i, w: _set_first_letter(op(i, w), 4),
+             "row 1 letter out of range 1..3"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize("model", _OUT_OF_ALPHABET)
+def test_operator_output_outside_the_alphabet_exits_4(capsys, monkeypatch,
+                                                      model, fmt):
+    # the model's validate bounds the alphabet, so in either format the
+    # fault is an internal error, never a printed vertex or a traceback
+    bound, module, name, fault, msg = _OUT_OF_ALPHABET[model]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, out, err = run(capsys, "graph", "--model", model, *bound,
+                         "--shape", "2", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err == f"internal error: operator left the family: {msg}\n"

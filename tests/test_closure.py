@@ -88,12 +88,14 @@ def test_benchmark_ssdt_component_matches_per_call_closure():
     (models.model_pt(3), ((2, 2, 2), (4,))),
     (models.model_ssdt(3), ((2, 1), (1,))),
 ], ids=["words", "pt", "ssdt"])
-def test_cap_fires_one_past_the_component(model, seed):
+def test_cap_fires_one_past_the_component(monkeypatch, model, seed):
     size = len(engine.component(model, seed))
     assert size > 1
-    assert len(engine.component(model, seed, cap=size)) == size
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", str(size))
+    assert len(engine.component(model, seed)) == size
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", str(size - 1))
     with pytest.raises(engine.CapExceeded):
-        engine.component(model, seed, cap=size - 1)
+        engine.component(model, seed)
 
 
 @pytest.mark.parametrize("missing", ["e_bar", "f_bar"])

@@ -231,10 +231,11 @@ def test_broken_weight_model_fails_axioms():
     assert conditions & {"gl1", "gl2", "gl3", "q3"}
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", "3")
     model = words_model(2)
     with pytest.raises(engine.CapExceeded) as exc:
-        engine.component(model, W("11"), cap=3)
+        engine.component(model, W("11"))
     assert exc.value.cap == 3
 
 

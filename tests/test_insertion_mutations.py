@@ -4,6 +4,11 @@ The insertions validate only their final tableaux.  Each fault is planted
 by rewriting one line of the library's source, and the round-trip check
 that verify runs on the faulty insertion, at its default bounds, must
 stop on that final check's InvariantError.
+
+The reverse insertions confirm their result with one forward insertion.
+A fault planted in a reverse walk must be a witness of verify's round
+trip, and must make the inverse raise NotInImage on an image pair that
+the faulty walk undoes wrongly, which only the confirm can see.
 """
 
 import inspect
@@ -13,7 +18,7 @@ import pytest
 
 from qcrystal import kraskiewicz as kw
 from qcrystal import mixed, verify
-from qcrystal.tableaux import InvariantError
+from qcrystal.tableaux import InvariantError, NotInImage
 
 # verify's sub-checks at the bounds of verify --n 3 --max-size 5
 ROUND_TRIPS = {
@@ -51,3 +56,31 @@ def test_planted_insertion_fault_fails_verify(monkeypatch, fault, check):
     with pytest.raises(InvariantError,
                        match="^insertion produced an invalid tableau: "):
         ROUND_TRIPS[check]()
+
+
+# name: (the fault, as in FAULTS; its round trip; an undoing of an image
+# pair that the faulty walk gets wrong without raising)
+REVERSE_FAULTS = {
+    "unsigned-corner": (
+        (kw, "pkr_inverse", "sign = -1 if primality[bottom] else 1",
+         "sign = 1"),
+        "pkr", lambda: kw.pkr_inverse(*kw.pkr(((-1, (0,)),)), m=1)),
+    "right-predecessor": (
+        (mixed, "_reverse_chain", "bisect_left(", "bisect_right("),
+        "hm", lambda: mixed.hm_inverse(*mixed.hm((1, 2, 2, 1)))),
+}
+
+
+@pytest.mark.parametrize("fault", REVERSE_FAULTS)
+def test_planted_reverse_fault_is_a_round_trip_witness(monkeypatch, fault):
+    planted, check, _ = REVERSE_FAULTS[fault]
+    plant(monkeypatch, *planted)
+    assert ROUND_TRIPS[check]()["failures"]
+
+
+@pytest.mark.parametrize("fault", REVERSE_FAULTS)
+def test_planted_reverse_fault_is_not_in_image(monkeypatch, fault):
+    planted, _, undo = REVERSE_FAULTS[fault]
+    plant(monkeypatch, *planted)
+    with pytest.raises(NotInImage):
+        undo()

@@ -308,3 +308,34 @@ def test_extreme_constructors_check_the_shape(build):
     with pytest.raises(ValueError, match=r"^parts must be positive: \(2, 0\)$"):
         build(3, [2, 0])
     assert build(3, [2, 1]) == build(3, (2, 1))
+
+
+@pytest.mark.parametrize("builder, text, msg", [
+    ("model_pt", "1 3", "entry 3 at (1, 2) out of range"),
+    ("model_spt", "1' 3'", "entry 3' at (1, 2) out of range"),
+    ("model_ssdt", "3 1", "row 1 letter out of range 1..2"),
+], ids=["pt", "spt", "ssdt"])
+def test_tableau_models_validate_their_alphabet(builder, text, msg):
+    # PT and SPT live over 1'..n (spt: m), SSDT over 1..n
+    parse = tb.parse_plain if builder == "model_ssdt" else tb.parse_primed
+    t = parse(text)
+    assert getattr(models, builder)(3).validate(t) is None
+    assert getattr(models, builder)(2).validate(t) == msg
+    with pytest.raises(tb.InvariantError) as exc:
+        engine.component(getattr(models, builder)(2), t)
+    assert str(exc.value) == f"seed is not in the family: {msg}"
+
+
+def test_out_of_alphabet_operator_fails_verify_axioms(monkeypatch):
+    # an f_even_pt that writes the letter 4 at n = 3 stops the closure
+    # with the family check, not with an IndexError from the weight
+    real = ptops.f_even_pt
+
+    def faulty(i, t):
+        out = real(i, t)
+        return None if out is None else (out[0][:-1] + (8,),) + out[1:]
+
+    monkeypatch.setattr(ptops, "f_even_pt", faulty)
+    with pytest.raises(tb.InvariantError,
+                       match="^operator left the family: entry 4 at "):
+        verify.verify_axioms(3, 2)
