@@ -7,12 +7,13 @@ two families are those crystals under a new name, closed on their proxy
 word, and signed unimodal factorizations on signed primed tableaux
 through the primed insertion, which keeps P fixed.  Each builder fixes n
 (the number of weight coordinates), a canonical text form for vertices,
-and the family's validator over that alphabet (looked up on tableaux at
-call time): 1'..n for PT and SPT, 1..n for SSDT.  It is the one
+and the family's validator over that alphabet (looked up at call time):
+1..n for words and SSDT, 1'..n for PT and SPT.  It is the one
 statement of the family; engine.component runs it once on every vertex
 it reaches, and the CLI runs it on a --seed.
 """
 
+import dataclasses
 import itertools
 
 from . import factorization as fc
@@ -37,6 +38,7 @@ def model_words(n: int) -> CrystalModel:
         f_bar=words.f_bar1 if n >= 2 else None,
         fmt=typeb.fmt_word,
         name=f"words{n}",
+        validate=lambda w: words.validate(w, n),
     )
 
 
@@ -48,14 +50,17 @@ def _ssdt_lift(t: Rows):
 
 
 def model_ssdt(n: int) -> CrystalModel:
-    """Decomposition tableaux, closed on words through the reading word."""
+    """Decomposition tableaux, closed on words through the reading word.
+
+    The proxy words go unchecked: validate_ssdt bounds the same letters.
+    """
     return CrystalModel(
         n=n,
         weight=lambda t: tb.ssdt_weight(t, n),
         fmt=tb.fmt_plain,
         name=f"ssdt{n}",
         validate=lambda t: tb.validate_ssdt(t, n=n),
-        via=(model_words(n), _ssdt_lift),
+        via=(dataclasses.replace(model_words(n), validate=None), _ssdt_lift),
     )
 
 

@@ -6,6 +6,14 @@ report is useful even when something breaks.  Reports have the shape
 ``{"suite": str, "checked": int, "failures": [ ... ]}``; a run passes
 iff ``failures`` is empty.  The fine-grained ``check_*`` functions take
 explicit bounds; the ``verify_*`` wrappers bundle them for the CLI.
+
+The insertion sweeps insert each element once.  The primed-insertion
+round trip and the odd factorization transport read one P-fibre table
+per (perm, m) (``_pkr_fibres``): one pkr per fibre, one pkr_inverse per
+pair.  The tableau transport reads one forward hm table per word length
+(``_hm_table``).  verify_all builds each P-fibre table in the transport
+sweep and keeps only its round-trip result, which the pkr round trip
+then reports.
 """
 
 import dataclasses
@@ -168,31 +176,86 @@ def check_kr_roundtrip(n: int, max_len: int) -> dict:
     return _report("kr-roundtrip", checked, failures)
 
 
-def check_pkr_roundtrip(rank: int, max_len: int, max_m: int) -> dict:
-    """Primed insertion round-trips on every signed factorization."""
+def _pkr_fibres(perm, m: int):
+    """The P-fibre table of perm's m-factor signed factorizations, and
+    the primed-insertion round trip read off it.
+
+    pkr runs on a factorization only when no fibre opened so far holds
+    it.  Its P opens a fibre (its reading word must give perm), and
+    pkr_inverse(P, T, m) runs once on every signed primed tableau T of
+    P's shape with entries <= m; each result must have T's weight.
+    table maps each pair (P, T) to its factorization, pairs maps back.
+    A factorization must be the image of the pair pkr gave it, and the
+    images must be exactly the factorizations of perm (the union check):
+    one missed is a factorization pkr ran on, so it is already a witness.
+    Returns (facts, table, pairs, (checked, witnesses)).
+    """
+    facts = list(typeb.enumerate_factorizations(perm, m))
+    table: dict = {}
+    pairs: dict = {}
+    witnesses: list = []
+    fibres = set()
+    for fact in facts:
+        if fact in pairs:
+            continue
+        try:
+            p, t = kw.pkr(fact)  # checks P and T itself
+            if p not in fibres:
+                fibres.add(p)
+                _open_fibre(p, m, table, pairs, witnesses)
+                # a letter of P outside 0..rank-1 makes apply_word raise
+                if typeb.apply_word(kw.rw_sdt(p), len(perm)) != perm:
+                    raise ValueError("reading word changes the permutation")
+            if pairs.get(fact) != (p, t):
+                raise ValueError("round trip failed")
+        except ValueError as exc:
+            witnesses.append({"check": "pkr",
+                              "fact": typeb.fmt_factorization(fact),
+                              "detail": str(exc)})
+    for other in sorted(pairs.keys() - set(facts)):
+        witnesses.append({"check": "pkr",
+                          "fact": typeb.fmt_factorization(other),
+                          "detail": "pkr_inverse left the factorizations "
+                                    f"of {typeb.fmt_perm(perm)}"})
+    return facts, table, pairs, (len(facts), witnesses)
+
+
+def _open_fibre(p, m: int, table: dict, pairs: dict, witnesses: list):
+    for t in tb.enumerate_pt(m, tb.shape_of(p), diagonal_unprimed=False):
+        try:
+            fact = kw.pkr_inverse(p, t, m=m)
+            if typeb.fact_weight(fact) != tb.pt_weight(t, m):
+                raise ValueError("recording weight mismatch")
+            first = pairs.setdefault(fact, (p, t))
+            if first != (p, t):
+                raise ValueError("pkr_inverse is not injective: same "
+                                 "factorization as " + tb.fmt_primed(first[1]))
+        except ValueError as exc:
+            witnesses.append({"check": "pkr", "p": tb.fmt_plain(p),
+                              "t": tb.fmt_primed(t), "detail": str(exc)})
+            continue
+        table[(p, t)] = fact
+
+
+def check_pkr_roundtrip(rank: int, max_len: int, max_m: int,
+                        _roundtrips=None) -> dict:
+    """Primed insertion is a bijection from the signed factorizations of
+    each perm onto its P-fibre pairs (``_pkr_fibres``).
+
+    ``_roundtrips`` maps (perm, m) to the (checked, witnesses) that
+    check_fact_transport found building that table, so that verify_all
+    builds each table once; only the missing ones are built here.
+    """
     failures = []
     checked = 0
     for perm in typeb.enumerate_perms(rank):
         if typeb.length(perm) > max_len:
             continue
         for m in range(1, max_m + 1):
-            for fact in typeb.enumerate_factorizations(perm, m):
-                checked += 1
-                try:
-                    p, t = kw.pkr(fact)  # checks P and T itself
-                    if typeb.apply_word(kw.rw_sdt(p), rank) != perm:
-                        raise ValueError(
-                            "reading word changes the permutation")
-                    if tb.pt_weight(t, m) != typeb.fact_weight(fact):
-                        raise ValueError("recording weight mismatch")
-                    if kw.pkr_inverse(p, t, m=m) != fact:
-                        raise ValueError("round trip failed")
-                except ValueError as exc:
-                    failures.append({
-                        "check": "pkr",
-                        "fact": typeb.fmt_factorization(fact),
-                        "detail": str(exc),
-                    })
+            done = (_roundtrips or {}).get((perm, m))
+            count, witnesses = done or _pkr_fibres(perm, m)[3]
+            checked += count
+            failures.extend(witnesses)
     return _report("pkr-roundtrip", checked, failures)
 
 
@@ -219,7 +282,8 @@ def check_vee(rank: int, max_len: int) -> dict:
     return _report("vee", checked, failures)
 
 
-def verify_bijections(n: int = 3, max_size: int = 5) -> dict:
+def verify_bijections(n: int = 3, max_size: int = 5,
+                      _roundtrips=None) -> dict:
     """Round-trips for all three insertions plus the vee lemma.
 
     The primed insertion sweep is pinned to rank 3, length 5, m 3 (the
@@ -230,21 +294,63 @@ def verify_bijections(n: int = 3, max_size: int = 5) -> dict:
         check_hm_roundtrip(n, max_size),
         check_kr_roundtrip(n, max_size),
         check_vee(min(n, 3), max_size),
-        check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3),
+        check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3, _roundtrips),
     ])
 
 
 # ---------------------------------------------------------------------------
 # suite: equivalence
 
+def _hm_table(n: int, size: int, failures: list):
+    """The forward table {w: hm(w)} over the words of one length, and its
+    inverse; two words with one image are a witness that hm is not
+    injective.  A word hm rejects is left out, so a pair that needs it
+    misses the inverse and goes to transport_op, for the same error."""
+    forward: dict = {}
+    inverse: dict = {}
+    for w in _all_words(n, size):
+        try:
+            forward[w] = pair = mixed.hm(w)  # checks P and Q itself
+        except ValueError:
+            continue
+        first = inverse.setdefault(pair, w)
+        if first != w:
+            failures.append({"check": "pt-transport", "op": "hm",
+                             "word": typeb.fmt_word(w),
+                             "detail": "hm is not injective: same pair as "
+                                       + typeb.fmt_word(first)})
+    return forward, inverse
+
+
+def _hm_transport(t, q, word_op, forward: dict, inverse: dict):
+    """ptops.transport_op(t, q, word_op) read off _hm_table: the word of
+    (t, q), word_op on it, and the P of that word's image.  A pair, an
+    image or a recording tableau the table does not match goes to
+    transport_op, whose error is then the witness."""
+    w = inverse.get((t, q))
+    if w is not None:
+        w2 = word_op(w)
+        if w2 is None:
+            return None
+        hit = forward.get(w2)
+        if hit is not None and hit[1] == q:
+            return hit[0]
+    return ptops.transport_op(t, q, word_op)
+
+
 def check_pt_transport(n: int, max_size: int) -> dict:
     """Explicit tableau operators match insertion transport for every
-    recording tableau (so the transported action is Q-independent)."""
+    recording tableau (so the transported action is Q-independent); the
+    transport is read off one hm table per size (``_hm_table``)."""
     failures = []
     checked = 0
-    for shape in tb.strict_partitions(max_size):
+    size = None
+    for shape in tb.strict_partitions(max_size):  # by size
         if len(shape) > n:
             continue
+        if sum(shape) != size:
+            size = sum(shape)
+            forward, inverse = _hm_table(n, size, failures)
         sts = tb.enumerate_st(shape)
         ops = [("e_bar1", ptops.e_bar1_pt, words.e_bar1),
                ("f_bar1", ptops.f_bar1_pt, words.f_bar1)]
@@ -256,8 +362,8 @@ def check_pt_transport(n: int, max_size: int) -> dict:
                 rule = functools.cache(pt_op)  # once per t, not per q
                 for q in sts:
                     checked += 1
-                    detail = _disagreement(
-                        rule, lambda s: ptops.transport_op(s, q, word_op), t)
+                    detail = _disagreement(rule, lambda s: _hm_transport(
+                        s, q, word_op, forward, inverse), t)
                     if detail is not None:
                         failures.append({
                             "check": "pt-transport", "op": name,
@@ -267,50 +373,30 @@ def check_pt_transport(n: int, max_size: int) -> dict:
     return _report("pt-transport", checked, failures)
 
 
-def _fibre_table(perm, m: int, failures: list):
-    """The factorizations of perm into m factors, and a reader of their
-    odd transports.
-
-    pkr runs once per factorization, and the table maps each image (P, T)
-    back to its factorization; a second factorization with the same image
-    is a witness that pkr is not injective.  The transport of fact under
-    the signed operator op is table[(P, op("b1", T))], or None when op is
-    undefined or leaves the entries <= m.  A T2 the table lacks goes to
-    pkr_inverse(P, T2), whose error is then the witness, and a
-    factorization that pkr rejected gets pkr's error again.
-    """
-    facts = list(typeb.enumerate_factorizations(perm, m))
-    images: dict = {}
-    table: dict = {}
-    for fact in facts:
-        try:
-            images[fact] = image = kw.pkr(fact)
-        except ValueError:
-            continue  # read calls pkr again, for the same error
-        first = table.setdefault(image, fact)
-        if first != fact:
-            failures.append({
-                "check": "fact-transport", "op": "pkr",
-                "fact": typeb.fmt_factorization(fact),
-                "detail": ("pkr is not injective: same pair as "
-                           + typeb.fmt_factorization(first)),
-            })
-
-    def read(fact, op):
-        p, t = images[fact] if fact in images else kw.pkr(fact)
-        t2 = fc.within(op("b1", t), m)
-        if t2 is None:
-            return None
-        hit = table.get((p, t2))
-        return kw.pkr_inverse(p, t2, m=m) if hit is None else hit
-
-    return facts, read
+def _odd_transport(fact, op, m: int, table: dict, pairs: dict):
+    """The transport of fact under the signed operator op("b1", -), read
+    off its fibre table (``_pkr_fibres``): table[(P, op("b1", T))], or
+    None when op is undefined or leaves the entries <= m.  A pair the
+    table lacks goes to pkr_inverse, whose error is then the witness, and
+    a factorization it lacks goes to pkr."""
+    p, t = pairs[fact] if fact in pairs else kw.pkr(fact)
+    t2 = fc.within(op("b1", t), m)
+    if t2 is None:
+        return None
+    hit = table.get((p, t2))
+    return kw.pkr_inverse(p, t2, m=m) if hit is None else hit
 
 
 def check_fact_transport(rank: int = 3, max_len: int = 5,
-                         max_m: int = 3, perm=None, m=None) -> dict:
+                         max_m: int = 3, perm=None, m=None,
+                         _roundtrips=None) -> dict:
     """Explicit odd factor surgery matches insertion transport, read off
-    one pkr per factorization (``_fibre_table``)."""
+    one P-fibre table per (perm, m) (``_pkr_fibres``).
+
+    Each table is dropped after its sweep; with ``_roundtrips`` given,
+    its round trip's (checked, witnesses) is kept there, keyed by
+    (perm, m), for check_pkr_roundtrip.
+    """
     failures = []
     checked = 0
     perms = [tuple(perm)] if perm else [
@@ -319,15 +405,17 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
     for perm_ in perms:
         ms = [m] if m is not None else range(1, max_m + 1)
         for mm in ms:
-            facts, read = _fibre_table(perm_, mm, failures)
+            facts, table, pairs, roundtrip = _pkr_fibres(perm_, mm)
+            if _roundtrips is not None:
+                _roundtrips[(perm_, mm)] = roundtrip
             for fact in facts:
                 checked += 2
                 for name, explicit, op in (
                     ("e_bar1", fc.e_bar1_fact, ptops.e_signed),
                     ("f_bar1", fc.f_bar1_fact, ptops.f_signed),
                 ):
-                    detail = _disagreement(
-                        explicit, lambda x: read(x, op), fact)
+                    detail = _disagreement(explicit, lambda x: _odd_transport(
+                        x, op, mm, table, pairs), fact)
                     if detail is not None:
                         failures.append({
                             "check": "fact-transport", "op": name,
@@ -342,14 +430,14 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
 
 
 def verify_equivalence(n: int = 3, max_size: int = 5,
-                       perm=None, m=None) -> dict:
+                       perm=None, m=None, _roundtrips=None) -> dict:
     """Both operator-equivalence theorems: on primed tableaux for every
     recording tableau, and on factorizations (rank 3, length <= 5)."""
     reports = []
     if perm is None:
         reports.append(check_pt_transport(min(n, 3), max_size))
     reports.append(check_fact_transport(
-        3, min(max_size, 5), 3, perm=perm, m=m))
+        3, min(max_size, 5), 3, perm=perm, m=m, _roundtrips=_roundtrips))
     return _merge("equivalence", reports)
 
 
@@ -396,12 +484,15 @@ def verify_highlow(n: int = 3, max_size: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 def verify_all(n: int = 3, max_size: int = 5, perm=None, m=None) -> dict:
-    # equivalence first, so a --perm with nothing to check fails at once;
-    # the reports still merge in the documented order
-    equivalence = verify_equivalence(n, max_size, perm=perm, m=m)
+    # equivalence first, so a --perm with nothing to check fails at once,
+    # and so its P-fibre tables serve the pkr round trip too; the reports
+    # still merge in the documented order
+    roundtrips: dict = {}
+    equivalence = verify_equivalence(n, max_size, perm=perm, m=m,
+                                     _roundtrips=roundtrips)
     return _merge("all", [
         verify_axioms(n, max_size),
-        verify_bijections(n, max_size),
+        verify_bijections(n, max_size, roundtrips),
         equivalence,
         verify_highlow(n, max_size),
     ])

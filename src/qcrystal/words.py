@@ -34,6 +34,20 @@ def weight(w: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(wt)
 
 
+def validate(w: Sequence[int], n: int) -> Optional[str]:
+    """None if every letter of w lies in 1..n, else why not.
+
+    >>> validate((1, 3), 3) is None
+    True
+    >>> validate((1, 4, 0), 3)
+    'letter 4 outside alphabet 1..3'
+    """
+    if not w or (min(w) >= 1 and max(w) <= n):
+        return None
+    bad = next(a for a in w if not 1 <= a <= n)
+    return f"letter {bad} outside alphabet 1..{n}"
+
+
 def unbracketed(i: int, letters: Sequence[int]) -> tuple[list[int], list[int]]:
     """Positions of unbracketed letters i+1 (openers) and i (closers).
 

@@ -153,8 +153,8 @@ def test_transport_fault_is_a_witness_not_bad_input(capsys, monkeypatch):
 
 
 def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
-    # the odd transport reads the pkr images, so only the round trips
-    # run pkr_inverse
+    # the P-fibre tables are pkr_inverse images, so the pkr round trip
+    # and the odd transport read off them both fail, as does kr's
     real = kw.pkr_inverse
     monkeypatch.setattr(kw, "pkr_inverse",
                         lambda p, t, m: real(p, t, m)[::-1])
@@ -164,7 +164,7 @@ def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
     report = json.loads(out)
     assert report["checked"] == 13519
     assert ({f["check"] for f in report["failures"]}
-            == {"kr", "kr-fiber", "pkr"})
+            == {"kr", "kr-fiber", "pkr", "fact-transport"})
 
 
 def test_witnesses_print_through_the_text_codec(monkeypatch):
@@ -556,18 +556,21 @@ def _set_first_letter(word, letter):
     return None if word is None else (letter,) + word[1:]
 
 
-# a model with alphabet 1..3, and an operator fault that writes the letter
-# 4 into every output, with the family check it then fails
+# a model with alphabet 1..3, its options, and an operator fault that
+# writes the letter 4 into every output, with the family check it then fails
 _OUT_OF_ALPHABET = {
-    "pt": (["--n", "3"], ptops, "f_even_pt",
+    "pt": (["--n", "3", "--shape", "2"], ptops, "f_even_pt",
            lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
            "entry 4 at (1, 2) out of range"),
-    "spt": (["--m", "3"], ptops, "f_signed",
+    "spt": (["--m", "3", "--shape", "2"], ptops, "f_signed",
             lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
             "entry 4 at (1, 2) out of range"),
-    "ssdt": (["--n", "3"], words, "f_even",
+    "ssdt": (["--n", "3", "--shape", "2"], words, "f_even",
              lambda op: lambda i, w: _set_first_letter(op(i, w), 4),
              "row 1 letter out of range 1..3"),
+    "words": (["--n", "3", "--seed", "11"], words, "f_even",
+              lambda op: lambda i, w: _set_first_letter(op(i, w), 4),
+              "letter 4 outside alphabet 1..3"),
 }
 
 
@@ -577,9 +580,9 @@ def test_operator_output_outside_the_alphabet_exits_4(capsys, monkeypatch,
                                                       model, fmt):
     # the model's validate bounds the alphabet, so in either format the
     # fault is an internal error, never a printed vertex or a traceback
-    bound, module, name, fault, msg = _OUT_OF_ALPHABET[model]
+    options, module, name, fault, msg = _OUT_OF_ALPHABET[model]
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    code, out, err = run(capsys, "graph", "--model", model, *bound,
-                         "--shape", "2", "--format", fmt)
+    code, out, err = run(capsys, "graph", "--model", model, *options,
+                         "--format", fmt)
     assert (code, out) == (4, "")
     assert err == f"internal error: operator left the family: {msg}\n"

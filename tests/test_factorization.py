@@ -127,20 +127,21 @@ DEFAULT_SWEEP = [(p, m) for p in typeb.enumerate_perms(3)
                                          ([((2, -3, 1), 3)], 192)],
                          ids=["default", "perm-2,-3,1-m-3"])
 def test_fibre_table_equals_transport(monkeypatch, sweep, size):
-    # every answer comes from the table: a miss would call pkr_inverse,
-    # planted here to raise
-    def miss(p, t, m):
-        raise AssertionError(f"{tb.fmt_primed(t)} missed the table")
+    # every answer comes from the table: a pair it lacks would call
+    # pkr_inverse and a factorization it lacks pkr, both planted to raise
+    def miss(*args, **kwargs):
+        raise AssertionError(f"{args} missed the table")
 
     facts = 0
     for perm, m in sweep:
-        failures = []
-        table_facts, read = verify._fibre_table(perm, m, failures)
-        assert failures == []
+        table_facts, table, pairs, roundtrip = verify._pkr_fibres(perm, m)
+        assert roundtrip == (len(table_facts), [])
         assert table_facts == list(typeb.enumerate_factorizations(perm, m))
         with monkeypatch.context() as planted:
             planted.setattr(kw, "pkr_inverse", miss)
-            answers = [(read(fact, ptops.e_signed), read(fact, ptops.f_signed))
+            planted.setattr(kw, "pkr", miss)
+            answers = [tuple(verify._odd_transport(fact, op, m, table, pairs)
+                             for op in (ptops.e_signed, ptops.f_signed))
                        for fact in table_facts]
         for fact, (up, down) in zip(table_facts, answers):
             facts += 1
@@ -149,24 +150,109 @@ def test_fibre_table_equals_transport(monkeypatch, sweep, size):
     assert facts == size
 
 
+def _primed_diagonal(t):
+    return any(tb.code_primed(row[0]) for row in t)
+
+
+def _unprimed_diagonal(t):
+    return tuple((tb.code(tb.code_value(row[0]), False),) + row[1:]
+                 for row in t)
+
+
 def test_non_injective_pkr_is_a_witness(monkeypatch):
-    # a pkr that forgets T's primes sends two factorizations to one pair
-    real = kw.pkr
+    # an insertion that forgets the primes on T's diagonal sends two
+    # factorizations to one pair; T stays a valid signed primed tableau
+    # (forgetting every prime repeats an unprimed letter in a column, which
+    # pkr's own check stops on)
+    real = kw._pkr
 
     def unprimed(fact):
         p, t = real(fact)
-        return p, tuple(tuple(tb.code(tb.code_value(v), False) for v in row)
-                        for row in t)
+        return p, _unprimed_diagonal(t)
 
-    monkeypatch.setattr(kw, "pkr", unprimed)
-    report = verify.check_fact_transport(perm=(2, -3, 1), m=3)
-    assert report["checked"] == 2 * 192
-    witnesses = [f for f in report["failures"] if f["op"] == "pkr"]
-    assert witnesses[0] == {
-        "check": "fact-transport", "op": "pkr", "fact": "(-1)(-2)(+101)",
-        "detail": "pkr is not injective: same pair as (-1)(-2)(-101)"}
-    for w in witnesses:
-        assert w["check"] == "fact-transport"
-        other = w["detail"].removeprefix("pkr is not injective: same pair as ")
-        fact, other = F(w["fact"]), F(other)
-        assert fact != other and unprimed(fact) == unprimed(other)
+    pair = F("(-1)(-2)(+101)"), F("(-1)(-2)(-101)")
+    assert real(pair[0]) != real(pair[1])
+    assert unprimed(pair[0]) == unprimed(pair[1])
+    monkeypatch.setattr(kw, "_pkr", unprimed)
+    transport = verify.check_fact_transport(perm=(2, -3, 1), m=3)
+    assert transport["checked"] == 2 * 192
+    assert {f["fact"] for f in transport["failures"]} >= set(map(fmt, pair))
+    # pkr_inverse's confirm rejects every pair with a primed diagonal, so
+    # the factorizations inserting to one are missing from the tables
+    roundtrip = verify.check_pkr_roundtrip(3, 5, 3)
+    assert roundtrip["checked"] == 3203
+    missed = [w for w in roundtrip["failures"] if "fact" in w]
+    assert {w["fact"] for w in missed} == {
+        fmt(fact) for perm, m in DEFAULT_SWEEP
+        for fact in typeb.enumerate_factorizations(perm, m)
+        if _primed_diagonal(real(fact)[1])}
+    assert {w["detail"] for w in missed} == {"round trip failed"}
+    for w in roundtrip["failures"]:
+        if "t" in w:
+            assert _primed_diagonal(tb.parse_primed(w["t"]))
+            assert w["detail"] == "no factorization inserts to the pair"
+
+
+def test_non_injective_pkr_inverse_is_a_witness(monkeypatch):
+    # a pkr_inverse that forgets the primes on T's diagonal gives two
+    # pairs one factorization of the same weight
+    real = kw.pkr_inverse
+
+    monkeypatch.setattr(kw, "pkr_inverse",
+                        lambda p, t, m: real(p, _unprimed_diagonal(t), m))
+    _, _, pairs, (checked, witnesses) = verify._pkr_fibres((2, -3, 1), 3)
+    assert checked == 192
+    prefix = "pkr_inverse is not injective: same factorization as "
+    doubled = [w for w in witnesses if "t" in w]
+    assert doubled
+    for w in doubled:
+        t, first = w["t"], w["detail"].removeprefix(prefix)
+        assert t != first
+        assert (_unprimed_diagonal(tb.parse_primed(t))
+                == _unprimed_diagonal(tb.parse_primed(first)))
+    # what the doubled pairs should have reached is missing
+    missed = {F(w["fact"]) for w in witnesses if "fact" in w}
+    assert missed == (set(typeb.enumerate_factorizations((2, -3, 1), 3))
+                      - pairs.keys())
+
+
+def test_pkr_inverse_image_outside_the_perm_is_a_witness(monkeypatch):
+    # a pkr_inverse that reverses the factor order leaves the
+    # factorizations of the perm; the union check names each image
+    real = kw.pkr_inverse
+    monkeypatch.setattr(kw, "pkr_inverse",
+                        lambda p, t, m: real(p, t, m)[::-1])
+    facts = set(typeb.enumerate_factorizations((2, -3, 1), 3))
+    _, _, pairs, (_, witnesses) = verify._pkr_fibres((2, -3, 1), 3)
+    outside = [F(w["fact"]) for w in witnesses if w["detail"]
+               == "pkr_inverse left the factorizations of 2,-3,1"]
+    assert outside == sorted(pairs.keys() - facts)
+    assert outside and all(fact[::-1] in facts for fact in outside)
+    # reversed factors carry the reversed weight, which T's rarely is
+    assert any(w["detail"] == "recording weight mismatch" for w in witnesses)
+
+
+def test_pkr_reading_word_fault_is_a_witness(monkeypatch):
+    # each fibre's P must read as a word of the perm
+    monkeypatch.setattr(kw, "rw_sdt", lambda p: ())
+    _, _, _, (_, witnesses) = verify._pkr_fibres((2, -3, 1), 3)
+    assert witnesses
+    assert ({w["detail"] for w in witnesses}
+            == {"reading word changes the permutation"})
+
+
+def test_pkr_factor_number_above_m_is_a_witness(monkeypatch):
+    # a pkr that records factor m + 1 (code 2m + 2) in T's last first-row
+    # cell gives a pair outside the fibre table: a witness, not a bare
+    # IndexError from reading T's weight over 1..m
+    real = kw.pkr
+
+    def overflow(fact):
+        p, t = real(fact)
+        return p, t and (t[0][:-1] + (2 * len(fact) + 2,),) + t[1:]
+
+    monkeypatch.setattr(kw, "pkr", overflow)
+    report = verify.check_pkr_roundtrip(3, 5, 3)
+    assert report["checked"] == 3203
+    assert report["failures"]
+    assert {w["detail"] for w in report["failures"]} == {"round trip failed"}

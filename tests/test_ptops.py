@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrystal import mixed, ptops, words
+from qcrystal import mixed, ptops, verify, words
 from qcrystal import tableaux as tb
 
 
@@ -237,6 +237,58 @@ def test_transport_independent_of_recording_tableau():
                         )
                         == expect_even[i]
                     )
+
+
+def _word_ops(n):
+    ops = [words.e_bar1, words.f_bar1]
+    for i in range(1, n):
+        ops += [lambda w, i=i: words.e_even(i, w),
+                lambda w, i=i: words.f_even(i, w)]
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hm_table_transport_equals_transport_op(monkeypatch, n):
+    # transport_op, the fallback, records each (t, q) that misses the table
+    real, missed = ptops.transport_op, []
+
+    def fallback(t, q, word_op):
+        missed.append((t, q))
+        return real(t, q, word_op)
+
+    triples = 0
+    for size in range(1, 6):
+        failures = []
+        forward, inverse = verify._hm_table(n, size, failures)
+        assert failures == []
+        for shape in tb.strict_partitions(size):
+            if sum(shape) != size or len(shape) > n:
+                continue
+            cases = [(t, q, op) for t in tb.enumerate_pt(n, shape)
+                     for q in tb.enumerate_st(shape) for op in _word_ops(n)]
+            with monkeypatch.context() as planted:
+                planted.setattr(ptops, "transport_op", fallback)
+                got = [verify._hm_transport(t, q, op, forward, inverse)
+                       for t, q, op in cases]
+            for (t, q, op), out in zip(cases, got):
+                triples += 1
+                assert out == real(t, q, op), tb.fmt_primed(t)
+    # one (t, q) per nonempty word of length <= 5
+    assert triples == 2 * n * sum(n ** k for k in range(1, 6))
+    # the table holds the words over 1..n, which only f_bar1 at n = 1
+    # leaves (1...1 -> 21...1), once per length
+    assert len(missed) == (5 if n == 1 else 0)
+
+
+def test_hm_collision_is_a_witness(monkeypatch):
+    # an hm that sends 21 to the pair of 12 is not injective
+    real = mixed.hm
+    monkeypatch.setattr(mixed, "hm",
+                        lambda w: real((1, 2) if w == (2, 1) else w))
+    failures = verify.check_pt_transport(2, 2)["failures"]
+    assert {"check": "pt-transport", "op": "hm", "word": "21",
+            "detail": "hm is not injective: same pair as 12"} in failures
+    assert [f for f in failures if f["op"] == "hm"] == failures[:1]
 
 
 # ---------------------------------------------------------------------------
