@@ -29,7 +29,6 @@ from . import ptops
 from . import tableaux as tb
 from . import typeb
 from . import verify as verify_mod
-from . import words
 
 
 def _shape(text: str) -> tuple[int, ...]:
@@ -68,10 +67,12 @@ def cmd_insert(args) -> int:
     return 0
 
 
-def _check_seed(seed, msg, shape) -> None:
+def _check_seed(seed, msg, shape=None) -> None:
+    """Reject a seed outside its model's family, or a tableau seed of
+    another shape; a word seed (no shape) keeps the bare message."""
     if msg is not None:
-        raise ValueError(f"seed: {msg}")
-    if tb.shape_of(seed) != shape:
+        raise ValueError(msg if shape is None else f"seed: {msg}")
+    if shape is not None and tb.shape_of(seed) != shape:
         raise ValueError(f"seed has shape {tb.shape_of(seed)}, "
                          f"expected {shape}")
 
@@ -89,8 +90,9 @@ def _graph_component(args) -> engine.CrystalGraph:
     if args.model == "words":
         _require({"seed": args.seed})
         seed = typeb.parse_word(args.seed)
-        words.weight(seed, args.n)  # rejects letters outside 1..n
-        return engine.component(models.model_words(args.n), seed)
+        model = models.model_words(args.n)
+        _check_seed(seed, model.validate(seed))
+        return engine.component(model, seed)
     if args.model in _TABLEAU_MODELS:
         builder, parse, highest, bound = _TABLEAU_MODELS[args.model]
         n = getattr(args, bound)

@@ -1,11 +1,13 @@
 """Crystal operators on primed tableaux.
 
 The odd pair acts on the first row by explicit rules.  The even
+operators of color i read and write only the strip of t: its cells
+holding i', i, (i+1)' or i+1 (``f_even_pt`` gives their order).  The
 lowering operator follows the ribbon procedure: locate the bold letter
-through the reading word, then either trade a prime with the entry to
+by bracketing the strip, then either trade a prime with the entry to
 the east or walk the maximal south/west ribbon of letters i+1 and
-reshape its head; a primed bold letter is handled on the conjugated
-tableau.  The even raising operator undoes that rule around the leftmost
+reshape its head; a primed bold letter is handled on the reflected
+strip.  The raising operator undoes that rule around the leftmost
 unbracketed i+1, and the bracketing decides between locally ambiguous
 preimages.  ``transport_op`` conjugates a word operator through mixed
 insertion for an arbitrary recording tableau; it is the oracle the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from qcrystal import mixed, words
+from qcrystal import mixed
 from qcrystal import tableaux as tb
 from qcrystal.tableaux import InvariantError, Rows
 
@@ -71,6 +73,9 @@ def f_bar1_pt(t: Rows) -> Optional[Rows]:
 
 # ---------------------------------------------------------------------------
 # even operators: the ribbon rule and its inverse
+#
+# The ribbon rewrites read and write only codes of i and i+1 and treat any
+# other cell as absent, so they run on the strip of color i (_strip).
 
 def _ribbon_head(cells: dict[tuple[int, int], int], x: tuple[int, int],
                  i: int) -> tuple[int, int]:
@@ -138,22 +143,66 @@ def _unribbon(cells: dict[tuple[int, int], int], y: tuple[int, int], i: int
     yield {y: low}, y
 
 
-def _bold_letter(t: Rows, i: int, raising: bool = False
-                 ) -> Optional[tuple[tuple[int, int], bool]]:
-    """Cell and primality of the bold letter in rw(t): the rightmost
-    unbracketed i, or when raising the leftmost unbracketed i+1."""
-    items = tb.rw_pt_cells(t)
-    values = tuple(v for v, _, _ in items)
-    openers, closers = words.unbracketed(i, values)
-    picks = openers[:1] if raising else closers[-1:]
-    if not picks:
-        return None
-    _, primed, cell = items[picks[0]]
-    return cell, primed
+def _rw_key(item: tuple[tuple[int, int], int]) -> tuple[int, int, int]:
+    """Sort key of a (cell, code) item by its place in rw (f_even_pt)."""
+    (r, c), v = item
+    return (0, -c, r) if v % 2 else (1, -r, c)
+
+
+def _strip(t: Rows, i: int) -> dict[tuple[int, int], int]:
+    """The cells of t holding i', i, (i+1)' or i+1, in rw(t) order."""
+    lo, hi = 2 * i - 1, 2 * i + 2
+    cells = [((r, c), v) for r, row in enumerate(t)
+             if not (max(row) < lo or min(row) > hi)
+             for c, v in enumerate(row, r) if lo <= v <= hi]
+    return dict(sorted(cells, key=_rw_key))
+
+
+def _bold(items, i: int, raising: bool = False) -> Optional[tuple[int, int]]:
+    """Cell of the bold letter among the (cell, code) items of a strip in
+    rw order: the rightmost unbracketed i, or when raising the leftmost
+    unbracketed i+1."""
+    openers: list[tuple[int, int]] = []
+    closer = None
+    for cell, v in items:
+        if v > 2 * i:
+            openers.append(cell)
+        elif openers:
+            openers.pop()
+        else:
+            closer = cell
+    if raising:
+        return openers[0] if openers else None
+    return closer
+
+
+def _reflect(cells: dict[tuple[int, int], int], shift: int
+             ) -> dict[tuple[int, int], int]:
+    """Cells reflected over the main diagonal, each code moved by shift:
+    +1 turns k' into k and k into (k+1)' (the conjugate frame), -1 back."""
+    return {(c, r): v + shift for (r, c), v in cells.items()}
+
+
+def _write(t: Rows, cells: dict[tuple[int, int], int]) -> Rows:
+    """t with the given cells rewritten; only the rows that change are
+    rebuilt."""
+    rows = list(t)
+    for (r, c), v in cells.items():
+        row = rows[r]
+        if row[c - r] != v:
+            rows[r] = row[:c - r] + (v,) + row[c - r + 1:]
+    return tuple(rows)
 
 
 def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
-    """
+    """Lowering operator: the ribbon rule around the bold letter, the
+    rightmost unbracketed i of rw(t).
+
+    The strip of color i is read in rw(t) order: primed letters down the
+    columns, rightmost column first, then unprimed letters along the
+    rows, bottom row first.  A primed bold letter is handled on the
+    strip reflected over the main diagonal.
+
     >>> tb.fmt_primed(f_even_pt(1, tb.parse_primed("1 1 1 / 2")))
     '1 1 2 / 2'
     >>> tb.fmt_primed(f_even_pt(2, tb.parse_primed("1 1 1 / 2")))
@@ -161,46 +210,43 @@ def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
     >>> f_even_pt(1, tb.parse_primed("2")) is None
     True
     """
-    bold = _bold_letter(t, i)
-    if bold is None:
+    cells = _strip(t, i)
+    x = _bold(cells.items(), i)
+    if x is None:
         return None
-    cell, primed = bold
-    if primed:
-        cells = tb.conjugate(t)
-        _ribbon(cells, (cell[1], cell[0]), i, allow_2b=False)
-        return tb.conjugate_inverse(cells)
-    cells = tb.cell_map(t)
-    _ribbon(cells, cell, i, allow_2b=True)
-    return tb.from_cells(tb.shape_of(t), cells)
-
-
-def _preimages(i: int, t: Rows, y: tuple[int, int], primed: bool
-               ) -> Iterator[tuple[Rows, tuple[tuple[int, int], bool]]]:
-    """Candidates for e_i(t) with bold letter at y, in rule order, each
-    with the letter it lowered to i (cell and primality)."""
-    shape = tb.shape_of(t)
-    if primed:
-        cells = tb.cell_map(t)
-        head = _ribbon_head(cells, y, i)
-        if head != y and head[0] == head[1]:
-            cells[y] = tb.code(i, False)
-            yield tb.from_cells(shape, cells), (y, False)
-        conj = tb.conjugate(t)
-        for changes, (r, c) in _unribbon(conj, (y[1], y[0]), i):
-            yield tb.conjugate_inverse({**conj, **changes}), ((c, r), True)
+    if cells[x] % 2:
+        conj = _reflect(cells, 1)
+        _ribbon(conj, x[::-1], i, allow_2b=False)
+        cells = _reflect(conj, -1)
     else:
-        cells = tb.cell_map(t)
-        for changes, x in _unribbon(cells, y, i):
-            yield tb.from_cells(shape, {**cells, **changes}), (x, False)
+        _ribbon(cells, x, i, allow_2b=True)
+    return _write(t, cells)
+
+
+def _preimages(i: int, strip: dict[tuple[int, int], int], y: tuple[int, int]
+               ) -> Iterator[tuple[dict[tuple[int, int], int],
+                                   tuple[int, int]]]:
+    """Candidates for e_i with bold letter at y, in rule order, each as
+    (changed cells, cell it lowered to i)."""
+    if not strip[y] % 2:
+        yield from _unribbon(strip, y, i)
+        return
+    head = _ribbon_head(strip, y, i)
+    if head != y and head[0] == head[1]:
+        yield {y: tb.code(i, False)}, y
+    for changes, x in _unribbon(_reflect(strip, 1), y[::-1], i):
+        yield _reflect(changes, -1), x[::-1]
 
 
 def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
     """Raising operator: the ribbon rule of f_even_pt undone.
 
-    The bold letter is the leftmost unbracketed i+1 of rw(t).  Undoing
-    the ribbon rule around it can be locally ambiguous; the preimage is
-    the candidate whose own bold letter for f_i is the letter that was
-    lowered to i, so f_i lowers it back.
+    The bold letter is the leftmost unbracketed i+1 of rw(t), read off
+    the strip of color i (see f_even_pt).  Undoing the ribbon rule around
+    it can be locally ambiguous; the preimage is the candidate whose own
+    bold letter for f_i is the letter that was lowered to i, so f_i
+    lowers it back.  Each candidate is a strip; only the answer is
+    written into t.
 
     (A) the cell west of an unprimed bold letter holds (i+1)'; that
     cell becomes i and the bold letter (i+1)':
@@ -227,22 +273,24 @@ def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
     >>> tb.fmt_primed(e_even_pt(1, tb.parse_primed("1 2' / 2")))
     '1 1 / 2'
 
-    any other primed bold letter is undone on the conjugate tableau:
+    any other primed bold letter is undone on the reflected strip:
 
     >>> tb.fmt_primed(e_even_pt(2, tb.parse_primed("1 3' / 3")))
     "1 2' / 3"
     >>> e_even_pt(1, tb.parse_primed("1 1 1 / 2")) is None
     True
     """
-    bold = _bold_letter(t, i, raising=True)
-    if bold is None:
+    strip = _strip(t, i)
+    y = _bold(strip.items(), i, raising=True)
+    if y is None:
         return None
-    out = next((s for s, lowered in _preimages(i, t, *bold)
-                if _bold_letter(s, i) == lowered), None)
-    if out is None:
-        raise InvariantError(
-            "inverse ribbon produced no valid tableau: no candidate")
-    return out
+    for changes, lowered in _preimages(i, strip, y):
+        # at most two cells changed primality, so re-sort into rw order
+        if _bold(sorted({**strip, **changes}.items(), key=_rw_key),
+                 i) == lowered:
+            return _write(t, changes)
+    raise InvariantError(
+        "inverse ribbon produced no valid tableau: no candidate")
 
 
 # ---------------------------------------------------------------------------

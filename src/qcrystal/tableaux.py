@@ -437,37 +437,7 @@ def pt_weight(rows: Rows, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# conjugation and diagonal primes
-
-def conjugate(rows: Rows) -> dict[tuple[int, int], int]:
-    """Reflect over the main diagonal, turning k' into k and k into (k+1)'.
-
-    The result is not a shifted-shape tableau, so it is returned as a
-    plain cell -> code mapping.
-
-    >>> conjugate(parse_primed("1"))
-    {(0, 0): 3}
-    """
-    return {
-        (c, r): rows[r][c - r] + 1
-        for r in range(len(rows))
-        for c in range(r, r + len(rows[r]))
-    }
-
-
-def conjugate_inverse(cells: dict[tuple[int, int], int]) -> Rows:
-    back: dict[tuple[int, int], int] = {
-        (c, r): v - 1 for (r, c), v in cells.items()
-    }
-    nrows = max((r for r, _ in back), default=-1) + 1
-    rows = []
-    for r in range(nrows):
-        cols = sorted(c for (rr, c) in back if rr == r)
-        if cols != list(range(r, r + len(cols))):
-            raise ValueError("conjugate image is not a shifted shape")
-        rows.append(tuple(back[(r, c)] for c in cols))
-    return tuple(rows)
-
+# diagonal primes
 
 def prime_type(rows: Rows) -> frozenset[int]:
     """1-based indexes i whose diagonal entry (i,i) is primed.

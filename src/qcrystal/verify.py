@@ -352,8 +352,9 @@ def check_pt_transport(n: int, max_size: int) -> dict:
             size = sum(shape)
             forward, inverse = _hm_table(n, size, failures)
         sts = tb.enumerate_st(shape)
+        # model_pt(1) has no odd pair: f_bar1 leaves the alphabet 1..1
         ops = [("e_bar1", ptops.e_bar1_pt, words.e_bar1),
-               ("f_bar1", ptops.f_bar1_pt, words.f_bar1)]
+               ("f_bar1", ptops.f_bar1_pt, words.f_bar1)] if n >= 2 else []
         for i in range(1, n):
             ops.append((f"f_{i}", lambda t, i=i: ptops.f_even_pt(i, t),
                         lambda w, i=i: words.f_even(i, w)))

@@ -396,6 +396,19 @@ def test_bad_text_names_the_token(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_words_seed_is_checked_by_the_model(capsys, monkeypatch):
+    code, out, err = run(capsys, "graph", "--model", "words", "--n", "3",
+                         "--seed", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: letter 4 outside alphabet 1..3\n"
+    # the message is model_words' validate, the one statement of 1..n
+    monkeypatch.setattr(words, "validate",
+                        lambda w, n: "planted" if w == (1, 3) else None)
+    code, out, err = run(capsys, "graph", "--model", "words", "--n", "3",
+                         "--seed", "13")
+    assert (code, out, err) == (2, "", "error: planted\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "--model", "words", "--n", "10", "--seed", "1"],
     ["verify", "--suite", "axioms", "--n", "10", "--max-size", "1"],

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrystal import mixed, ptops, verify, words
+import reference_ptops as ref
+from qcrystal import cli, engine, mixed, models, ptops, verify, words
 from qcrystal import tableaux as tb
 
 
@@ -191,6 +192,94 @@ def test_even_pt_ops_properties(t):
 
 
 # ---------------------------------------------------------------------------
+# the strip operators against the whole-tableau ones (reference_ptops)
+
+
+def _outcome(op, *args):
+    """op's answer, or the type of the exception it raised."""
+    try:
+        return op(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_even_pt_ops_match_reference_exhaustively():
+    # every primed tableau with entries <= 4 and |shape| <= 7, every color
+    n, cases = 4, 0
+    for shape in tb.strict_partitions(7):
+        if len(shape) > n:
+            continue
+        for t in tb.enumerate_pt(n, shape):
+            for i in range(1, n):
+                assert ptops.f_even_pt(i, t) == ref.f_even_pt(i, t), (i, t)
+                assert ptops.e_even_pt(i, t) == ref.e_even_pt(i, t), (i, t)
+                cases += 1
+    assert cases == 14280
+
+
+def test_signed_ops_match_reference_exhaustively():
+    # every signed primed tableau with entries <= 3 and |shape| <= 6
+    n, cases = 3, 0
+    for shape in tb.strict_partitions(6):
+        if len(shape) > n:
+            continue
+        for t in tb.enumerate_pt(n, shape, diagonal_unprimed=False):
+            for i in range(1, n):
+                assert ptops.f_signed(i, t) == ptops._signed(
+                    lambda s: ref.f_even_pt(i, s), t), (i, t)
+                assert ptops.e_signed(i, t) == ptops._signed(
+                    lambda s: ref.e_even_pt(i, s), t), (i, t)
+                cases += 1
+    assert cases == 2864
+
+
+@st.composite
+def arbitrary_rows(draw):
+    """Any codes 1..10 (letters 1'..5) on a strict shape of size <= 8,
+    tableau or not."""
+    shape = draw(st.sampled_from(tb.strict_partitions(8)))
+    return tuple(tuple(draw(st.lists(st.integers(1, 10), min_size=part,
+                                     max_size=part)))
+                 for part in shape)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(arbitrary_rows(), st.integers(1, 4))
+def test_even_pt_ops_match_reference_on_any_rows(t, i):
+    # the same answer, or the same exception type ("ribbon forks", ...)
+    for op, oracle in [(ptops.f_even_pt, ref.f_even_pt),
+                       (ptops.e_even_pt, ref.e_even_pt)]:
+        assert _outcome(op, i, t) == _outcome(oracle, i, t)
+
+
+class _WholeTableau(Exception):
+    pass
+
+
+def test_pt_closure_reads_only_strips(monkeypatch, capsys):
+    # the even operators must not rebuild the whole reading word, cell
+    # map or tableau; validate_pt runs once per vertex, and the graph
+    # command checks its seed once more
+    def banned(*args):
+        raise _WholeTableau
+    for name in ("rw_pt_cells", "cell_map", "from_cells"):
+        monkeypatch.setattr(tb, name, banned)
+    real, calls = tb.validate_pt, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tb, "validate_pt", counting)
+    g = engine.component(models.model_pt(4), ptops.highest_pt(4, (5, 3, 1)))
+    assert (len(g.vertices), len(calls)) == (1280, 1280)
+    calls.clear()
+    assert cli.main(["graph", "--model", "pt", "--n", "4",
+                     "--shape", "5,3,1"]) == 0
+    assert capsys.readouterr().out.count(" -> ") == len(g.f_edges)
+    assert len(calls) == 1281
+
+
+# ---------------------------------------------------------------------------
 # intertwining with insertion
 
 
@@ -289,6 +378,14 @@ def test_hm_collision_is_a_witness(monkeypatch):
     assert {"check": "pt-transport", "op": "hm", "word": "21",
             "detail": "hm is not injective: same pair as 12"} in failures
     assert [f for f in failures if f["op"] == "hm"] == failures[:1]
+
+
+@pytest.mark.parametrize("n,checked", [(1, 0), (2, 186), (3, 1452)])
+def test_pt_transport_counts(n, checked):
+    # model_pt(1) has no even color and no odd pair, so n = 1 checks
+    # nothing (f_bar1 would leave the alphabet 1..1)
+    report = verify.check_pt_transport(n, 5)
+    assert (report["checked"], report["failures"]) == (checked, [])
 
 
 # ---------------------------------------------------------------------------
