@@ -378,36 +378,6 @@ def validate_ssdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # reading words
 
-def rw_pt_cells(rows: Rows) -> list[tuple[int, bool, tuple[int, int]]]:
-    """Reading word of a primed tableau with provenance.
-
-    Primed letters are read down columns, rightmost column first; then
-    unprimed letters along rows, bottom row first.  Each item is
-    (letter value, primed, cell).
-    """
-    primed: list[list[tuple[int, bool, tuple[int, int]]]] = [
-        [] for _ in (rows[0] if rows else ())
-    ]
-    unprimed = []
-    for r in range(len(rows) - 1, -1, -1):
-        for c, v in enumerate(rows[r], r):
-            if v % 2:
-                primed[c].append(((v + 1) // 2, True, (r, c)))
-            else:
-                unprimed.append((v // 2, False, (r, c)))
-    out = [item for col in reversed(primed) for item in reversed(col)]
-    out.extend(unprimed)
-    return out
-
-
-def rw_pt(rows: Rows) -> tuple[int, ...]:
-    """
-    >>> rw_pt(parse_primed("1 2' 2 / 3"))
-    (2, 3, 1, 2)
-    """
-    return tuple(v for v, _, _ in rw_pt_cells(rows))
-
-
 def rw_ssdt(rows: Rows) -> tuple[int, ...]:
     """Rows read right to left, top row first.
 

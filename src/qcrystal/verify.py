@@ -10,8 +10,10 @@ explicit bounds; the ``verify_*`` wrappers bundle them for the CLI.
 The insertion sweeps insert each element once.  The primed-insertion
 round trip and the odd factorization transport read one P-fibre table
 per (perm, m) (``_pkr_fibres``): one pkr per fibre, one pkr_inverse per
-pair.  The tableau transport reads one forward hm table per word length
-(``_hm_table``).  verify_all builds each P-fibre table in the transport
+pair.  The tableau transport, hm(op(w)) = (op(t), q) for each word w
+with hm(w) = (t, q), reads one forward hm table per word length
+(``_hm_table``).  Nothing a table lacks falls back to an insertion: it
+is the witness.  verify_all builds each P-fibre table in the transport
 sweep and keeps only its round-trip result, which the pkr round trip
 then reports.
 """
@@ -56,22 +58,17 @@ def _all_words(n: int, length: int):
     return itertools.product(range(1, n + 1), repeat=length)
 
 
-def _components(model, vertices):
-    """Partition an iterable of elements into crystal components."""
+def _check_axioms(model, vertices, failures):
+    """The axioms on each component of model that vertices meet."""
+    checked = 0
+    check = (engine.check_q_axioms if "b1" in model.colors
+             else engine.check_gl_axioms)
     seen = set()
     for v in vertices:
         if v in seen:
             continue
         g = engine.component(model, v)
         seen.update(g.vertices)
-        yield g
-
-
-def _check_axioms(model, vertices, failures):
-    checked = 0
-    check = (engine.check_q_axioms if "b1" in model.colors
-             else engine.check_gl_axioms)
-    for g in _components(model, vertices):
         rep = check(g)
         checked += rep["checked"]
         failures.extend(rep["failures"])
@@ -267,7 +264,12 @@ def check_vee(rank: int, max_len: int) -> dict:
     for w in _reduced_words(rank, max_len):
         if not w:
             continue
-        _, q = kw.kr(w)
+        try:
+            _, q = kw.kr(w)  # checks P and Q itself
+        except ValueError as exc:
+            failures.append({"check": "vee", "word": typeb.fmt_word(w),
+                             "detail": str(exc)})
+            continue
         for i in range(1, len(w) + 1):
             for j in range(i, len(w) + 1):
                 checked += 1
@@ -301,91 +303,89 @@ def verify_bijections(n: int = 3, max_size: int = 5,
 # ---------------------------------------------------------------------------
 # suite: equivalence
 
-def _hm_table(n: int, size: int, failures: list):
-    """The forward table {w: hm(w)} over the words of one length, and its
-    inverse; two words with one image are a witness that hm is not
-    injective.  A word hm rejects is left out, so a pair that needs it
-    misses the inverse and goes to transport_op, for the same error."""
-    forward: dict = {}
-    inverse: dict = {}
+def _hm_table(n: int, size: int, failures: list) -> dict:
+    """The forward table {w: hm(w)} over the words of one length.  Two
+    words with one image are a witness that hm is not injective, and so
+    are fewer images than pairs (t, q) of that size: the words then miss
+    a pair.  A word hm rejects is left out, so it falls short too."""
+    table: dict = {}
+    first: dict = {}
     for w in _all_words(n, size):
         try:
-            forward[w] = pair = mixed.hm(w)  # checks P and Q itself
+            table[w] = pair = mixed.hm(w)  # checks P and Q itself
         except ValueError:
             continue
-        first = inverse.setdefault(pair, w)
-        if first != w:
+        if first.setdefault(pair, w) != w:
             failures.append({"check": "pt-transport", "op": "hm",
                              "word": typeb.fmt_word(w),
                              "detail": "hm is not injective: same pair as "
-                                       + typeb.fmt_word(first)})
-    return forward, inverse
+                                       + typeb.fmt_word(first[pair])})
+    total = sum(len(tb.enumerate_pt(n, shape)) * len(tb.enumerate_st(shape))
+                for shape in tb.strict_partitions(size)
+                if sum(shape) == size and len(shape) <= n)
+    if len(first) < total:
+        failures.append({"check": "pt-transport", "op": "hm", "size": size,
+                         "detail": f"hm reaches {len(first)} of {total} "
+                                   "pairs (t, q)"})
+    return table
 
 
-def _hm_transport(t, q, word_op, forward: dict, inverse: dict):
-    """ptops.transport_op(t, q, word_op) read off _hm_table: the word of
-    (t, q), word_op on it, and the P of that word's image.  A pair, an
-    image or a recording tableau the table does not match goes to
-    transport_op, whose error is then the witness."""
-    w = inverse.get((t, q))
-    if w is not None:
-        w2 = word_op(w)
-        if w2 is None:
-            return None
-        hit = forward.get(w2)
-        if hit is not None and hit[1] == q:
-            return hit[0]
-    return ptops.transport_op(t, q, word_op)
+def _hm_image(w, word_op, table: dict):
+    """P of hm(word_op(w)) off _hm_table; None where word_op is undefined."""
+    w2 = word_op(w)
+    if w2 is None:
+        return None
+    if w2 not in table:
+        raise ValueError(f"{typeb.fmt_word(w2)} is not in the hm table")
+    if table[w2][1] != table[w][1]:
+        raise ValueError("operator moved the recording tableau")
+    return table[w2][0]
 
 
 def check_pt_transport(n: int, max_size: int) -> dict:
-    """Explicit tableau operators match insertion transport for every
-    recording tableau (so the transported action is Q-independent); the
-    transport is read off one hm table per size (``_hm_table``)."""
+    """hm(op(w)) = (op(t), q) for every word w over 1..n with hm(w) = (t, q):
+    explicit tableau operators match insertion transport, whatever Q is.
+    Each length is read off one forward table (``_hm_table``), no fallback."""
     failures = []
     checked = 0
-    size = None
-    for shape in tb.strict_partitions(max_size):  # by size
-        if len(shape) > n:
-            continue
-        if sum(shape) != size:
-            size = sum(shape)
-            forward, inverse = _hm_table(n, size, failures)
-        sts = tb.enumerate_st(shape)
-        # model_pt(1) has no odd pair: f_bar1 leaves the alphabet 1..1
-        ops = [("e_bar1", ptops.e_bar1_pt, words.e_bar1),
-               ("f_bar1", ptops.f_bar1_pt, words.f_bar1)] if n >= 2 else []
-        for i in range(1, n):
-            ops.append((f"f_{i}", lambda t, i=i: ptops.f_even_pt(i, t),
-                        lambda w, i=i: words.f_even(i, w)))
-        for t in tb.enumerate_pt(n, shape):
-            for name, pt_op, word_op in ops:
-                rule = functools.cache(pt_op)  # once per t, not per q
-                for q in sts:
-                    checked += 1
-                    detail = _disagreement(rule, lambda s: _hm_transport(
-                        s, q, word_op, forward, inverse), t)
-                    if detail is not None:
-                        failures.append({
-                            "check": "pt-transport", "op": name,
-                            "t": tb.fmt_primed(t), "q": tb.fmt_plain(q),
-                            "detail": detail,
-                        })
+    # model_pt(1) has no odd pair: f_bar1 leaves the alphabet 1..1
+    ops = [("e_bar1", ptops.e_bar1_pt, words.e_bar1),
+           ("f_bar1", ptops.f_bar1_pt, words.f_bar1)] if n >= 2 else []
+    ops += [(f"f_{i}", functools.partial(ptops.f_even_pt, i),
+             functools.partial(words.f_even, i)) for i in range(1, n)]
+    # each rule runs once per t, not once per word
+    ops = [(name, functools.cache(rule), op) for name, rule, op in ops]
+    for size in range(1, max_size + 1):
+        table = _hm_table(n, size, failures)
+        for w, (t, q) in table.items():
+            for name, rule, word_op in ops:
+                checked += 1
+                detail = _disagreement(rule, lambda _: _hm_image(
+                    w, word_op, table), t)
+                if detail is not None:
+                    failures.append({
+                        "check": "pt-transport", "op": name,
+                        "t": tb.fmt_primed(t), "q": tb.fmt_plain(q),
+                        "detail": detail,
+                    })
     return _report("pt-transport", checked, failures)
 
 
 def _odd_transport(fact, op, m: int, table: dict, pairs: dict):
     """The transport of fact under the signed operator op("b1", -), read
     off its fibre table (``_pkr_fibres``): table[(P, op("b1", T))], or
-    None when op is undefined or leaves the entries <= m.  A pair the
-    table lacks goes to pkr_inverse, whose error is then the witness, and
-    a factorization it lacks goes to pkr."""
-    p, t = pairs[fact] if fact in pairs else kw.pkr(fact)
+    None when op is undefined or leaves the entries <= m.  A
+    factorization or a pair the table lacks is a ValueError naming it."""
+    if fact not in pairs:
+        raise ValueError("factorization is not in the P-fibre table")
+    p, t = pairs[fact]
     t2 = fc.within(op("b1", t), m)
     if t2 is None:
         return None
-    hit = table.get((p, t2))
-    return kw.pkr_inverse(p, t2, m=m) if hit is None else hit
+    if (p, t2) not in table:
+        raise ValueError(f"the P-fibre table has no pair P = "
+                         f"{tb.fmt_plain(p)}, T = {tb.fmt_primed(t2)}")
+    return table[(p, t2)]
 
 
 def check_fact_transport(rank: int = 3, max_len: int = 5,
@@ -404,8 +404,7 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
         p for p in typeb.enumerate_perms(rank) if typeb.length(p) <= max_len
     ]
     for perm_ in perms:
-        ms = [m] if m is not None else range(1, max_m + 1)
-        for mm in ms:
+        for mm in [m] if m is not None else range(1, max_m + 1):
             facts, table, pairs, roundtrip = _pkr_fibres(perm_, mm)
             if _roundtrips is not None:
                 _roundtrips[(perm_, mm)] = roundtrip

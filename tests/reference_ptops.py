@@ -1,7 +1,8 @@
 """Reference even operators on primed tableaux, over the whole tableau.
 
 ``_bold_letter`` reads the full reading word with cell provenance
-(``tableaux.rw_pt_cells``) and brackets it with ``words.unbracketed``.
+(``reference_validators.rw_pt_cells``) and brackets it with
+``words.unbracketed``.
 ``f_even_pt`` applies the ribbon rule to the full cell map, or to the
 full conjugate for a primed bold letter, and ``e_even_pt`` rebuilds
 every candidate preimage in full to read its bracketing again.  They are
@@ -21,6 +22,7 @@ from qcrystal import words
 from qcrystal import tableaux as tb
 from qcrystal.ptops import _ribbon, _ribbon_head, _unribbon
 from qcrystal.tableaux import InvariantError, Rows
+from reference_validators import rw_pt_cells
 
 
 def conjugate(rows: Rows) -> dict[tuple[int, int], int]:
@@ -51,7 +53,7 @@ def _bold_letter(t: Rows, i: int, raising: bool = False
                  ) -> Optional[tuple[tuple[int, int], bool]]:
     """Cell and primality of the bold letter in rw(t): the rightmost
     unbracketed i, or when raising the leftmost unbracketed i+1."""
-    items = tb.rw_pt_cells(t)
+    items = rw_pt_cells(t)
     values = tuple(v for v, _, _ in items)
     openers, closers = words.unbracketed(i, values)
     picks = openers[:1] if raising else closers[-1:]

@@ -1,3 +1,4 @@
+import collections
 import json
 import time
 
@@ -137,19 +138,48 @@ def _plant_f_bar1_pt(monkeypatch, planted):
     monkeypatch.setattr(ptops, "f_bar1_pt", lambda t: planted(real(t)))
 
 
+def _grow_row_1(out):
+    return None if out is None else (out[0] + out[0][-1:],) + out[1:]
+
+
 def test_transport_fault_is_a_witness_not_bad_input(capsys, monkeypatch):
-    # an f_bar1_pt that grows row 1 sends pkr_inverse a tableau of the
-    # wrong shape; that ValueError is a failed check (exit 1), not exit 2
-    _plant_f_bar1_pt(monkeypatch, lambda out: None if out is None
-                     else (out[0] + out[0][-1:],) + out[1:])
+    # an f_bar1_pt that grows row 1 gives a T of the wrong shape, which
+    # no pair of the P-fibre table holds: a failed check (exit 1), not 2
+    _plant_f_bar1_pt(monkeypatch, _grow_row_1)
     code, out, err = run(capsys, "verify", "--suite", "equivalence",
                          "--perm", "2,-3,1", "--m", "3")
     assert code == 1
     assert err == ""
     failures = json.loads(out)["failures"]
     assert failures and all(f["check"] == "fact-transport" for f in failures)
-    assert {"check": "fact-transport", "detail": "shapes differ",
-            "fact": "(-1)()(-2101)", "op": "f_bar1"} in failures
+    assert {"check": "fact-transport", "fact": "(-1)()(-2101)",
+            "op": "f_bar1", "detail": "the P-fibre table has no pair "
+            "P = 2 1 0 1 / 1, T = 2' 3' 3 3 3 / 3'"} in failures
+
+
+def test_odd_transport_reads_only_its_table(capsys, monkeypatch):
+    # a transported pair the table lacks is a witness of its own: no
+    # insertion runs beyond one pkr per fibre and one pkr_inverse per pair
+    _plant_f_bar1_pt(monkeypatch, _grow_row_1)
+    calls = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((kw, "pkr"), (kw, "pkr_inverse"),
+                         (ptops, "transport_op")):
+        count(module, name)
+    code, out, err = run(capsys, "verify", "--suite", "equivalence",
+                         "--perm", "2,-3,1", "--m", "3")
+    assert (code, err, len(json.loads(out)["failures"])) == (1, "", 96)
+    assert (calls["pkr_inverse"], calls["pkr"], calls["transport_op"]) \
+        == (192, 1, 0)
 
 
 def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
@@ -193,11 +223,30 @@ def test_pt_transport_records_a_rule_error(monkeypatch):
     _plant_f_bar1_pt(monkeypatch, planted)
     report = verify.check_pt_transport(2, 2)
     assert report["checked"] == 18  # 6 tableaux, 3 operators, 1 q each
+    # in the order of their words 1, 2, 11, 12, 21, 22
     assert [f for f in report["failures"] if f["op"] == "f_bar1"] == [
         {"check": "pt-transport", "op": "f_bar1", "t": t, "q": q,
          "detail": "planted fault"}
         for t, q in (("1", "1"), ("2", "1"), ("1 1", "1 2"),
-                     ("1 2'", "1 2"), ("1 2", "1 2"), ("2 2", "1 2"))]
+                     ("1 2", "1 2"), ("1 2'", "1 2"), ("2 2", "1 2"))]
+
+
+def test_kr_fault_is_a_witness_of_kr_and_vee(capsys, monkeypatch):
+    # kr rejecting a reduced word fails both sweeps that insert it, and
+    # the report survives: exit 1, not the bad-input exit 2
+    real = kw._row_step
+
+    def planted(row, a):
+        if row == (1,) and a == 0:
+            raise kw.InsertionError("planted")
+        return real(row, a)
+
+    monkeypatch.setattr(kw, "_row_step", planted)
+    code, out, err = run(capsys, "verify", "--suite", "bijections")
+    assert (code, err) == (1, "")
+    failures = json.loads(out)["failures"]
+    assert {"check": "vee", "word": "10", "detail": "planted"} in failures
+    assert {"check": "kr", "word": "10", "detail": "planted"} in failures
 
 
 def test_graph_missing_flags(capsys):

@@ -216,6 +216,22 @@ def test_non_injective_pkr_inverse_is_a_witness(monkeypatch):
                       - pairs.keys())
 
 
+def test_factorization_missing_from_its_table_is_a_witness(monkeypatch):
+    # the factorizations that the doubled pairs should have reached are
+    # in no pair of the table, so their transport is a witness naming
+    # that, not a second insertion through pkr
+    real = kw.pkr_inverse
+    monkeypatch.setattr(kw, "pkr_inverse",
+                        lambda p, t, m: real(p, _unprimed_diagonal(t), m))
+    _, _, pairs, _ = verify._pkr_fibres((2, -3, 1), 3)
+    missed = set(typeb.enumerate_factorizations((2, -3, 1), 3)) - pairs.keys()
+    assert missed
+    failures = verify.check_fact_transport(perm=(2, -3, 1), m=3)["failures"]
+    assert {(F(w["fact"]), w["op"]) for w in failures if w["detail"]
+            == "factorization is not in the P-fibre table"} == {
+        (fact, op) for fact in missed for op in ("e_bar1", "f_bar1")}
+
+
 def test_pkr_inverse_image_outside_the_perm_is_a_witness(monkeypatch):
     # a pkr_inverse that reverses the factor order leaves the
     # factorizations of the perm; the union check names each image

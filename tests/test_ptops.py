@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ptops as ref
-from qcrystal import cli, engine, mixed, models, ptops, verify, words
+from qcrystal import cli, engine, mixed, models, ptops, typeb, verify, words
 from qcrystal import tableaux as tb
 
 
@@ -257,12 +258,13 @@ class _WholeTableau(Exception):
 
 
 def test_pt_closure_reads_only_strips(monkeypatch, capsys):
-    # the even operators must not rebuild the whole reading word, cell
-    # map or tableau; validate_pt runs once per vertex, and the graph
-    # command checks its seed once more
+    # the even operators must not rebuild the whole cell map or tableau
+    # (src/ has no whole reading word of a PT left to rebuild);
+    # validate_pt runs once per vertex, and the graph command checks its
+    # seed once more
     def banned(*args):
         raise _WholeTableau
-    for name in ("rw_pt_cells", "cell_map", "from_cells"):
+    for name in ("cell_map", "from_cells"):
         monkeypatch.setattr(tb, name, banned)
     real, calls = tb.validate_pt, []
 
@@ -337,47 +339,76 @@ def _word_ops(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_hm_table_transport_equals_transport_op(monkeypatch, n):
-    # transport_op, the fallback, records each (t, q) that misses the table
-    real, missed = ptops.transport_op, []
-
-    def fallback(t, q, word_op):
-        missed.append((t, q))
-        return real(t, q, word_op)
-
-    triples = 0
+def test_hm_table_transport_equals_transport_op(n):
+    # the forward-table transport of every word w and operator, against
+    # transport_op on hm(w); misses are images outside the table
+    missed = pairs = 0
     for size in range(1, 6):
         failures = []
-        forward, inverse = verify._hm_table(n, size, failures)
+        table = verify._hm_table(n, size, failures)
         assert failures == []
-        for shape in tb.strict_partitions(size):
-            if sum(shape) != size or len(shape) > n:
+        assert sorted(table) == list(all_words(n, size))
+        for w, op in itertools.product(table, _word_ops(n)):
+            pairs += 1
+            expect = ptops.transport_op(*mixed.hm(w), op)
+            try:
+                got = verify._hm_image(w, op, table)
+            except ValueError as exc:
+                missed += 1
+                assert str(exc) == typeb.fmt_word(op(w)) + \
+                    " is not in the hm table"
                 continue
-            cases = [(t, q, op) for t in tb.enumerate_pt(n, shape)
-                     for q in tb.enumerate_st(shape) for op in _word_ops(n)]
-            with monkeypatch.context() as planted:
-                planted.setattr(ptops, "transport_op", fallback)
-                got = [verify._hm_transport(t, q, op, forward, inverse)
-                       for t, q, op in cases]
-            for (t, q, op), out in zip(cases, got):
-                triples += 1
-                assert out == real(t, q, op), tb.fmt_primed(t)
-    # one (t, q) per nonempty word of length <= 5
-    assert triples == 2 * n * sum(n ** k for k in range(1, 6))
+            assert got == expect, typeb.fmt_word(w)
+    # one (w, op) per nonempty word of length <= 5 and operator
+    assert pairs == 2 * n * sum(n ** k for k in range(1, 6))
     # the table holds the words over 1..n, which only f_bar1 at n = 1
     # leaves (1...1 -> 21...1), once per length
-    assert len(missed) == (5 if n == 1 else 0)
+    assert missed == (5 if n == 1 else 0)
 
 
 def test_hm_collision_is_a_witness(monkeypatch):
-    # an hm that sends 21 to the pair of 12 is not injective
+    # an hm that sends 21 to the pair of 12 is not injective, and its
+    # three images miss one of the four pairs (t, q) of size 2
     real = mixed.hm
     monkeypatch.setattr(mixed, "hm",
                         lambda w: real((1, 2) if w == (2, 1) else w))
     failures = verify.check_pt_transport(2, 2)["failures"]
-    assert {"check": "pt-transport", "op": "hm", "word": "21",
-            "detail": "hm is not injective: same pair as 12"} in failures
-    assert [f for f in failures if f["op"] == "hm"] == failures[:1]
+    assert [f for f in failures if f["op"] == "hm"] == failures[:2] == [
+        {"check": "pt-transport", "op": "hm", "word": "21",
+         "detail": "hm is not injective: same pair as 12"},
+        {"check": "pt-transport", "op": "hm", "size": 2,
+         "detail": "hm reaches 3 of 4 pairs (t, q)"}]
+
+
+def test_word_operator_moving_q_is_a_witness(monkeypatch, capsys):
+    # e_bar1 with its output reversed keeps the letters but not Q; that
+    # is a failed check (exit 1), not an internal error
+    real = words.e_bar1
+    monkeypatch.setattr(words, "e_bar1",
+                        lambda w: None if real(w) is None else real(w)[::-1])
+    failures = verify.check_pt_transport(2, 3)["failures"]
+    assert failures and all(f["op"] == "e_bar1" for f in failures)
+    assert {"check": "pt-transport", "op": "e_bar1", "t": "2 2 2",
+            "q": "1 2 3", "detail": "operator moved the recording tableau",
+            } in failures
+    assert cli.main(["verify", "--suite", "equivalence", "--n", "2",
+                     "--max-size", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["failures"][:len(failures)] == failures
+
+
+def test_word_operator_leaving_the_table_is_a_witness(monkeypatch):
+    # an image one letter longer is in no table of its length
+    real = words.f_bar1
+    monkeypatch.setattr(words, "f_bar1",
+                        lambda w: None if real(w) is None else real(w) + (1,))
+    failures = verify.check_pt_transport(2, 2)["failures"]
+    assert {"check": "pt-transport", "op": "f_bar1", "t": "1", "q": "1",
+            "detail": "21 is not in the hm table"} in failures
+    assert {f["detail"] for f in failures} == {
+        typeb.fmt_word(real(w) + (1,)) + " is not in the hm table"
+        for k in (1, 2) for w in all_words(2, k) if real(w) is not None}
 
 
 @pytest.mark.parametrize("n,checked", [(1, 0), (2, 186), (3, 1452)])

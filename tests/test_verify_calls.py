@@ -41,13 +41,16 @@ def test_verify_all_inserts_each_element_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((kw, "pkr"), (kw, "kr"), (kw, "pkr_inverse"),
-                         (kw, "kr_inverse"), (mixed, "hm_inverse"),
-                         (ptops, "transport_op")):
+                         (kw, "kr_inverse"), (mixed, "hm"),
+                         (mixed, "hm_inverse"), (ptops, "transport_op")):
         count(module, name)
     report = verify.verify_all(3, 5)
     assert (report["checked"], report["failures"]) == (13519, [])
-    # the PT transport reads one hm table per size
+    # the PT transport reads one forward hm table per size, with no
+    # fallback: one hm per word of length <= 5 there (the empty word
+    # aside) and one in the hm round trip
     assert calls["transport_op"] == 0
+    assert calls["hm"] == 364 + 363 == 727
     # only the hm round trip inverts, once per word of length <= 5
     assert calls["hm_inverse"] == sum(3 ** k for k in range(6)) == 364
     # one per P-fibre pair (3,203 factorizations) and one per kr_inverse
