@@ -8,8 +8,8 @@ tableau does).  The odd operators have a direct description on the first
 two factors, implemented here; ``e_bar1_transport``/``f_bar1_transport``
 compute the same maps the slow way, one factorization at a time.
 ``verify.check_fact_transport`` reads the transport of a whole
-(perm, m) sweep off one P-fibre table instead: one ``pkr`` per fibre
-and one ``pkr_inverse`` per pair (P, T).
+(perm, m) sweep off one P-fibre table instead: one ``pkr`` and one
+``pkr_fibre`` per fibre, whose inverse runs once per pair (P, T).
 
 These are the per-element operators.  Whole components are closed on the
 recording tableau instead (``models.model_fact`` names the signed primed

@@ -14,15 +14,17 @@ vertical arm is primed and whose bottom box carries the factor's sign.
 Plain insertion kr is pkr on one-letter factors signed +, whose
 recording tableau is 2Q for a standard tableau Q.
 
-pkr has the one letter-by-letter loop and pkr_inverse the one reverse
-walk, which undoes each bump chain row by row.  pkr validates its final
-P and T once, not each intermediate P: that is the insertion of a
-prefix, which verify inserts as a word of its own.  A row step keeps the
-product (R·a = b·R' in B_n), so the row and the letter entering it are a
-factor of a reduced word; of the local undoings of a row (split it into
-a strictly decreasing and a strictly increasing part, invert the bumps,
-forward-check) at most one keeps R·a reduced.  The loop of pkr (_pkr)
-confirms the result; the pair was checked on entry.
+pkr has the one letter-by-letter loop (_insert_word, then _record for
+T) and pkr_fibre the one reverse walk, which undoes each bump chain row
+by row.  pkr validates its final P and T once, not each intermediate P:
+that is the insertion of a prefix, which verify inserts as a word of its
+own.  A row step keeps the product (R·a = b·R' in B_n), so the row and
+the letter entering it are a factor of a reduced word; of the local
+undoings of a row (split it into a strictly decreasing and a strictly
+increasing part, invert the bumps, forward-check) at most one keeps R·a
+reduced.  The pairs with one P form a copy of the signed primed tableau
+crystal on T, so pkr_fibre(P, m) checks P once and inverts every T of
+that fibre; pkr_inverse is one call of it.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -276,70 +278,128 @@ def _pkr(fact) -> tuple[Rows, Rows]:
     word = typeb.fact_word(fact)
     if not typeb.is_reduced(word):
         raise ValueError("factor concatenation is not a reduced word")
+    rows, boxes = _insert_word(word)
+    return rows, _record(boxes, fact)
+
+
+def _insert_word(word) -> tuple[Rows, list[tuple[int, int]]]:
+    """The letter loop of pkr: P of word, and the cell each letter added."""
     rows: Rows = ()
+    boxes = []
+    for a in word:
+        rows, cell = _insert(rows, a)
+        boxes.append(cell)
+    return rows, boxes
+
+
+def _record(boxes, fact) -> Rows:
+    """T of fact, given the cells its letters added in turn (_insert_word)."""
     t_cells: dict[tuple[int, int], int] = {}
+    end = 0
     for fi, (sign, letters) in enumerate(fact, start=1):
-        boxes = []
-        for a in letters:
-            rows, cell = _insert(rows, a)
-            boxes.append(cell)
-        if not boxes:
+        cells = boxes[end:end + len(letters)]
+        end += len(letters)
+        if not cells:
             continue
-        k = vee_bottom_cells(boxes)
+        k = vee_bottom_cells(cells)
         if k is None:
             raise InvariantError(
-                f"factor {fi} boxes do not form a vee: {boxes}")
-        for idx, cell in enumerate(boxes, start=1):
+                f"factor {fi} boxes do not form a vee: {cells}")
+        for idx, cell in enumerate(cells, start=1):
             t_cells[cell] = tb.code(fi, idx < k or (idx == k and sign < 0))
-    return rows, tb.from_cells(tb.shape_of(rows), t_cells)
+    shape = [0] * len({r for r, _ in boxes})
+    for r, _ in boxes:
+        shape[r] += 1
+    return tb.from_cells(shape, t_cells)
 
 
-def pkr_inverse(p: Rows, t: Rows, m: int):
-    """The m-factor signed factorization inserting to (p, t).
+def pkr_fibre(p: Rows, m: int):
+    """The inverse of pkr on the pairs (p, T) with m factors: a function
+    sending T to the factorization inserting to (p, T).
 
-    Factors are undone last first, and each factor's boxes in the reverse
-    of the order pkr made them: the horizontal arm right to left, the
-    corner, then the vertical arm bottom to top.
+    p is checked once, here.  T's entries give the order its cells are
+    undone in: factors last first, and each factor's boxes in the reverse
+    of the order pkr made them (the horizontal arm right to left, the
+    corner, then the vertical arm bottom to top).  Each removal order is
+    walked back once per call of pkr_fibre, and its word re-inserted
+    once, which must give p; each T then only cuts that word into signed
+    factors and records them, which must give T back.
     """
     msg = validate_sdt(p)
     if msg is not None:
         raise NotInImage(f"insertion tableau invalid: {msg}")
-    msg = tb.validate_pt(t, diagonal_unprimed=False)
-    if msg is not None:
-        raise NotInImage(f"recording tableau invalid: {msg}")
-    if tb.shape_of(p) != tb.shape_of(t):
-        raise NotInImage("shapes differ")
-    values = [tb.code_value(v) for row in t for v in row]
-    if values and max(values) > m:
-        raise NotInImage(f"factor number {max(values)} exceeds m={m}")
-    t_cells = tb.cell_map(t)
-    rows, factors = p, []
-    for fi in range(m, 0, -1):
-        primality = {cell: tb.code_primed(v) for cell, v in t_cells.items()
-                     if tb.code_value(v) == fi}
-        sign, letters = 0, []
-        if primality:
-            bottom = max(primality, key=lambda rc: (rc[0], -rc[1]))
-            sign = -1 if primality[bottom] else 1
-            vertical = sorted(
-                c for c, pr in primality.items() if pr and c != bottom)
-            horizontal = sorted(
-                (c for c, pr in primality.items() if not pr and c != bottom),
-                key=lambda rc: rc[1])
-            for r, c in reversed(vertical + [bottom] + horizontal):
-                undone = _unbump(rows, r, c)
-                if undone is None:
-                    raise NotInImage("no factorization inserts to the pair")
-                rows, a = undone
-                letters.append(a)
-        factors.append((sign, tuple(reversed(letters))))
-    fact = tuple(reversed(factors))
-    try:
-        if _pkr(fact) == (p, t):
-            return fact
-    except ValueError:
-        pass
-    raise NotInImage("no factorization inserts to the pair")
+    shape = tb.shape_of(p)
+    walks: dict = {}  # removal order -> (word, its boxes), or None
+
+    def walk(order):
+        rows, letters = p, []
+        for r, c in order:
+            undone = _unbump(rows, r, c)
+            if undone is None:
+                return None
+            rows, a = undone
+            letters.append(a)
+        word = tuple(reversed(letters))
+        try:
+            if typeb.is_reduced(word):
+                back, boxes = _insert_word(word)
+                if back == p:
+                    return word, boxes
+        except ValueError:
+            pass
+        return None
+
+    def inverse(t: Rows):
+        msg = tb.validate_pt(t, diagonal_unprimed=False)
+        if msg is not None:
+            raise NotInImage(f"recording tableau invalid: {msg}")
+        if tb.shape_of(t) != shape:
+            raise NotInImage("shapes differ")
+        values = [tb.code_value(v) for row in t for v in row]
+        if values and max(values) > m:
+            raise NotInImage(f"factor number {max(values)} exceeds m={m}")
+        t_cells = tb.cell_map(t)
+        order, signs = [], []
+        for fi in range(m, 0, -1):
+            primality = {cell: tb.code_primed(v)
+                         for cell, v in t_cells.items()
+                         if tb.code_value(v) == fi}
+            sign = 0
+            if primality:
+                bottom = max(primality, key=lambda rc: (rc[0], -rc[1]))
+                sign = -1 if primality[bottom] else 1
+                vertical = sorted(
+                    c for c, pr in primality.items() if pr and c != bottom)
+                horizontal = sorted(
+                    (c for c, pr in primality.items()
+                     if not pr and c != bottom),
+                    key=lambda rc: rc[1])
+                order.extend(reversed(vertical + [bottom] + horizontal))
+            signs.append((sign, len(primality)))
+        order = tuple(order)
+        if order not in walks:
+            walks[order] = walk(order)
+        if walks[order] is not None:
+            word, boxes = walks[order]
+            factors, end = [], 0
+            for sign, size in reversed(signs):
+                factors.append((sign, word[end:end + size]))
+                end += size
+            fact = tuple(factors)
+            try:
+                typeb.check_factorization(fact)
+                if _record(boxes, fact) == t:
+                    return fact
+            except ValueError:
+                pass
+        raise NotInImage("no factorization inserts to the pair")
+
+    return inverse
+
+
+def pkr_inverse(p: Rows, t: Rows, m: int):
+    """The m-factor signed factorization inserting to (p, t)."""
+    return pkr_fibre(p, m)(t)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def model_fact(m: int) -> CrystalModel:
         if len(seed) != m:
             raise ValueError(f"seed has {len(seed)} factors, expected {m}")
         p, t = kw.pkr(seed)
-        return t, lambda v: kw.pkr_inverse(p, v, m=m)
+        return t, kw.pkr_fibre(p, m)
 
     return CrystalModel(
         n=m,

@@ -7,11 +7,13 @@ report is useful even when something breaks.  Reports have the shape
 iff ``failures`` is empty.  The fine-grained ``check_*`` functions take
 explicit bounds; the ``verify_*`` wrappers bundle them for the CLI.
 
-The insertion sweeps insert each element once.  The primed-insertion
-round trip and the odd factorization transport read one P-fibre table
-per (perm, m) (``_pkr_fibres``): one pkr per fibre, one pkr_inverse per
-pair.  The tableau transport, hm(op(w)) = (op(t), q) for each word w
-with hm(w) = (t, q), reads one forward hm table per word length
+The insertion sweeps insert each element once.  The vee sweep reads
+each reduced word's Q off the kr round trip.  The primed-insertion round
+trip and the odd factorization transport read one P-fibre table per
+(perm, m) (``_pkr_fibres``): one pkr and one pkr_fibre per fibre, whose
+inverse runs once per pair and undoes each removal order once.  The
+tableau transport, hm(op(w)) = (op(t), q) for each word w with
+hm(w) = (t, q), reads one forward hm table per word length
 (``_hm_table``).  Nothing a table lacks falls back to an insertion: it
 is the witness.  verify_all builds each P-fibre table in the transport
 sweep and keeps only its round-trip result, which the pkr round trip
@@ -140,10 +142,14 @@ def _reduced_words(n: int, max_len: int):
                 yield w
 
 
-def check_kr_roundtrip(n: int, max_len: int) -> dict:
+def check_kr_roundtrip(n: int, max_len: int, _qs=None) -> dict:
     """Reduced-word insertion round-trips; images are decomposition
     tableaux of the same permutation; fibers over one insertion tableau
-    carry every standard recording tableau exactly once."""
+    carry every standard recording tableau exactly once.
+
+    ``_qs``, when given, receives the Q of each word kr inserts, so that
+    check_vee inserts none of them again.
+    """
     failures = []
     checked = 0
     fibers: dict = {}
@@ -151,6 +157,8 @@ def check_kr_roundtrip(n: int, max_len: int) -> dict:
         checked += 1
         try:
             p, q = kw.kr(w)  # checks P and Q itself
+            if _qs is not None:
+                _qs[w] = q
             # a letter of P outside 0..n-1 makes apply_word raise
             if typeb.apply_word(kw.rw_sdt(p), n) != typeb.apply_word(w, n):
                 raise ValueError("reading word changes the permutation")
@@ -178,9 +186,10 @@ def _pkr_fibres(perm, m: int):
     the primed-insertion round trip read off it.
 
     pkr runs on a factorization only when no fibre opened so far holds
-    it.  Its P opens a fibre (its reading word must give perm), and
-    pkr_inverse(P, T, m) runs once on every signed primed tableau T of
-    P's shape with entries <= m; each result must have T's weight.
+    it.  Its P opens a fibre (its reading word must give perm):
+    pkr_fibre(P, m) checks P once, and its inverse runs once on every
+    signed primed tableau T of P's shape with entries <= m; each result
+    must have T's weight.
     table maps each pair (P, T) to its factorization, pairs maps back.
     A factorization must be the image of the pair pkr gave it, and the
     images must be exactly the factorizations of perm (the union check):
@@ -218,9 +227,10 @@ def _pkr_fibres(perm, m: int):
 
 
 def _open_fibre(p, m: int, table: dict, pairs: dict, witnesses: list):
+    inverse = kw.pkr_fibre(p, m)  # checks P itself
     for t in tb.enumerate_pt(m, tb.shape_of(p), diagonal_unprimed=False):
         try:
-            fact = kw.pkr_inverse(p, t, m=m)
+            fact = inverse(t)
             if typeb.fact_weight(fact) != tb.pt_weight(t, m):
                 raise ValueError("recording weight mismatch")
             first = pairs.setdefault(fact, (p, t))
@@ -256,16 +266,21 @@ def check_pkr_roundtrip(rank: int, max_len: int, max_m: int,
     return _report("pkr-roundtrip", checked, failures)
 
 
-def check_vee(rank: int, max_len: int) -> dict:
+def check_vee(rank: int, max_len: int, _qs=None) -> dict:
     """A contiguous subword is unimodal iff its recording cells form a
-    vee, for every reduced word within the bound."""
+    vee, for every reduced word within the bound.
+
+    The Q of a word in ``_qs`` (check_kr_roundtrip's) is read off it;
+    the other words are inserted here.
+    """
     failures = []
     checked = 0
+    qs = _qs or {}
     for w in _reduced_words(rank, max_len):
         if not w:
             continue
         try:
-            _, q = kw.kr(w)  # checks P and Q itself
+            q = qs[w] if w in qs else kw.kr(w)[1]  # checks P and Q itself
         except ValueError as exc:
             failures.append({"check": "vee", "word": typeb.fmt_word(w),
                              "detail": str(exc)})
@@ -290,12 +305,13 @@ def verify_bijections(n: int = 3, max_size: int = 5,
 
     The primed insertion sweep is pinned to rank 3, length 5, m 3 (the
     scale the factor theorems are verified at); the others follow the
-    given bounds.
+    given bounds.  The vee sweep reads Q off the kr round trip.
     """
+    qs: dict = {}
     return _merge("bijections", [
         check_hm_roundtrip(n, max_size),
-        check_kr_roundtrip(n, max_size),
-        check_vee(min(n, 3), max_size),
+        check_kr_roundtrip(n, max_size, qs),
+        check_vee(min(n, 3), max_size, qs),
         check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3, _roundtrips),
     ])
 

@@ -12,6 +12,12 @@ run the primed insertion on one-letter factors and undo each chain along
 its one reduced path instead.  The row step and its local inverses are
 the library's own.
 
+``pkr_inverse`` undoes one pair (P, T) at a time: it checks P, walks
+back every bump chain for T's removal order, and confirms with the whole
+forward insertion ``_pkr``.  It is kept as the oracle for
+``qcrystal.kraskiewicz.pkr_fibre``, which checks P once per fibre and
+walks back each removal order once.
+
 ``row_candidates`` and ``vee_bottom_cells`` are the plain forms of the
 library's kernels: the first tries every split of the row and keeps the
 decreasing/increasing ones, the second tests every index as the corner.
@@ -28,8 +34,8 @@ from typing import Optional, Sequence
 from qcrystal import tableaux as tb
 from qcrystal import typeb
 from qcrystal.kraskiewicz import (
-    InsertionError, _has_101, _insert, _row_candidates, _row_step,
-    validate_sdt)
+    InsertionError, _has_101, _insert, _pkr, _row_candidates, _row_step,
+    _unbump, validate_sdt)
 from qcrystal.tableaux import InvariantError, NotInImage, Rows
 from reference_validators import strictly_increasing
 
@@ -189,6 +195,54 @@ def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     if len(survivors) != 1:
         raise InvariantError(f"insertion not injective: {survivors}")
     return survivors[0]
+
+
+def pkr_inverse(p: Rows, t: Rows, m: int):
+    """The m-factor signed factorization inserting to (p, t).
+
+    Factors are undone last first, and each factor's boxes in the reverse
+    of the order pkr made them: the horizontal arm right to left, the
+    corner, then the vertical arm bottom to top.
+    """
+    msg = validate_sdt(p)
+    if msg is not None:
+        raise NotInImage(f"insertion tableau invalid: {msg}")
+    msg = tb.validate_pt(t, diagonal_unprimed=False)
+    if msg is not None:
+        raise NotInImage(f"recording tableau invalid: {msg}")
+    if tb.shape_of(p) != tb.shape_of(t):
+        raise NotInImage("shapes differ")
+    values = [tb.code_value(v) for row in t for v in row]
+    if values and max(values) > m:
+        raise NotInImage(f"factor number {max(values)} exceeds m={m}")
+    t_cells = tb.cell_map(t)
+    rows, factors = p, []
+    for fi in range(m, 0, -1):
+        primality = {cell: tb.code_primed(v) for cell, v in t_cells.items()
+                     if tb.code_value(v) == fi}
+        sign, letters = 0, []
+        if primality:
+            bottom = max(primality, key=lambda rc: (rc[0], -rc[1]))
+            sign = -1 if primality[bottom] else 1
+            vertical = sorted(
+                c for c, pr in primality.items() if pr and c != bottom)
+            horizontal = sorted(
+                (c for c, pr in primality.items() if not pr and c != bottom),
+                key=lambda rc: rc[1])
+            for r, c in reversed(vertical + [bottom] + horizontal):
+                undone = _unbump(rows, r, c)
+                if undone is None:
+                    raise NotInImage("no factorization inserts to the pair")
+                rows, a = undone
+                letters.append(a)
+        factors.append((sign, tuple(reversed(letters))))
+    fact = tuple(reversed(factors))
+    try:
+        if _pkr(fact) == (p, t):
+            return fact
+    except ValueError:
+        pass
+    raise NotInImage("no factorization inserts to the pair")
 
 
 def _hm_insert(rows: Rows, letter: int) -> tuple[Rows, tuple[int, int]]:

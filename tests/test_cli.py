@@ -159,7 +159,8 @@ def test_transport_fault_is_a_witness_not_bad_input(capsys, monkeypatch):
 
 def test_odd_transport_reads_only_its_table(capsys, monkeypatch):
     # a transported pair the table lacks is a witness of its own: no
-    # insertion runs beyond one pkr per fibre and one pkr_inverse per pair
+    # insertion runs beyond one pkr and one pkr_fibre per fibre, and one
+    # inverse per pair
     _plant_f_bar1_pt(monkeypatch, _grow_row_1)
     calls = collections.Counter()
 
@@ -172,22 +173,39 @@ def test_odd_transport_reads_only_its_table(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((kw, "pkr"), (kw, "pkr_inverse"),
-                         (ptops, "transport_op")):
+    for module, name in ((kw, "pkr"), (ptops, "transport_op")):
         count(module, name)
+    real_fibre = kw.pkr_fibre
+
+    def fibre(p, m):
+        calls["pkr_fibre"] += 1
+        inverse = real_fibre(p, m)
+
+        def counted(t):
+            calls["inverse"] += 1
+            return inverse(t)
+
+        return counted
+
+    monkeypatch.setattr(kw, "pkr_fibre", fibre)
     code, out, err = run(capsys, "verify", "--suite", "equivalence",
                          "--perm", "2,-3,1", "--m", "3")
     assert (code, err, len(json.loads(out)["failures"])) == (1, "", 96)
-    assert (calls["pkr_inverse"], calls["pkr"], calls["transport_op"]) \
-        == (192, 1, 0)
+    assert (calls["pkr_fibre"], calls["inverse"], calls["pkr"],
+            calls["transport_op"]) == (1, 192, 1, 0)
 
 
 def test_pkr_inverse_fault_fails_verify_all(capsys, monkeypatch):
-    # the P-fibre tables are pkr_inverse images, so the pkr round trip
-    # and the odd transport read off them both fail, as does kr's
-    real = kw.pkr_inverse
-    monkeypatch.setattr(kw, "pkr_inverse",
-                        lambda p, t, m: real(p, t, m)[::-1])
+    # the P-fibre tables are pkr_fibre images, so the pkr round trip
+    # and the odd transport read off them both fail, as does kr's,
+    # whose kr_inverse is a pkr_inverse, a call of pkr_fibre
+    real = kw.pkr_fibre
+
+    def reversed_fibre(p, m):
+        inverse = real(p, m)
+        return lambda t: inverse(t)[::-1]
+
+    monkeypatch.setattr(kw, "pkr_fibre", reversed_fibre)
     code, out, err = run(capsys, "verify", "--suite", "all")
     assert code == 1
     assert err == ""

@@ -2,7 +2,7 @@
 
 ``engine.component(models.model_fact(m), seed)`` closes the signed primed
 tableau component of the seed's recording tableau (the model's proxy)
-and maps each vertex back through ``pkr_inverse``; the closure of
+and maps each vertex back through ``pkr_fibre``; the closure of
 ``reference_closure.model_fact(m)``, which applies the factorization
 operators themselves, is its oracle.
 """
@@ -167,7 +167,7 @@ def plant_spt_fault(monkeypatch):
 
 
 def test_proxy_fault_is_an_operator_fault_not_bad_input(monkeypatch):
-    # the proxy's own check runs before pkr_inverse, whose input check
+    # the proxy's own check runs before pkr_fibre's inverse, whose check
     # would call the same tableau NotInImage, a ValueError
     seed = plant_spt_fault(monkeypatch)
     with pytest.raises(tb.InvariantError,

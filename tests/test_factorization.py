@@ -128,7 +128,8 @@ DEFAULT_SWEEP = [(p, m) for p in typeb.enumerate_perms(3)
                          ids=["default", "perm-2,-3,1-m-3"])
 def test_fibre_table_equals_transport(monkeypatch, sweep, size):
     # every answer comes from the table: a pair it lacks would call
-    # pkr_inverse and a factorization it lacks pkr, both planted to raise
+    # pkr_fibre or pkr_inverse and a factorization it lacks pkr, all
+    # planted to raise
     def miss(*args, **kwargs):
         raise AssertionError(f"{args} missed the table")
 
@@ -138,6 +139,7 @@ def test_fibre_table_equals_transport(monkeypatch, sweep, size):
         assert roundtrip == (len(table_facts), [])
         assert table_facts == list(typeb.enumerate_factorizations(perm, m))
         with monkeypatch.context() as planted:
+            planted.setattr(kw, "pkr_fibre", miss)
             planted.setattr(kw, "pkr_inverse", miss)
             planted.setattr(kw, "pkr", miss)
             answers = [tuple(verify._odd_transport(fact, op, m, table, pairs)
@@ -159,33 +161,42 @@ def _unprimed_diagonal(t):
                  for row in t)
 
 
+def _plant_fibre(monkeypatch, answer):
+    """pkr_fibre(p, m) answering T with answer(inverse, T), where inverse
+    is the real pkr_fibre(p, m)."""
+    real = kw.pkr_fibre
+
+    def fibre(p, m):
+        inverse = real(p, m)
+        return lambda t: answer(inverse, t)
+
+    monkeypatch.setattr(kw, "pkr_fibre", fibre)
+
+
 def test_non_injective_pkr_is_a_witness(monkeypatch):
-    # an insertion that forgets the primes on T's diagonal sends two
+    # a recording that forgets the primes on T's diagonal sends two
     # factorizations to one pair; T stays a valid signed primed tableau
     # (forgetting every prime repeats an unprimed letter in a column, which
     # pkr's own check stops on)
-    real = kw._pkr
-
-    def unprimed(fact):
-        p, t = real(fact)
-        return p, _unprimed_diagonal(t)
-
     pair = F("(-1)(-2)(+101)"), F("(-1)(-2)(-101)")
-    assert real(pair[0]) != real(pair[1])
-    assert unprimed(pair[0]) == unprimed(pair[1])
-    monkeypatch.setattr(kw, "_pkr", unprimed)
+    assert kw.pkr(pair[0]) != kw.pkr(pair[1])
+    primed = {fmt(fact) for perm, m in DEFAULT_SWEEP
+              for fact in typeb.enumerate_factorizations(perm, m)
+              if _primed_diagonal(kw.pkr(fact)[1])}
+    real = kw._record
+    monkeypatch.setattr(kw, "_record", lambda boxes, fact:
+                        _unprimed_diagonal(real(boxes, fact)))
+    assert kw.pkr(pair[0]) == kw.pkr(pair[1])
     transport = verify.check_fact_transport(perm=(2, -3, 1), m=3)
     assert transport["checked"] == 2 * 192
     assert {f["fact"] for f in transport["failures"]} >= set(map(fmt, pair))
-    # pkr_inverse's confirm rejects every pair with a primed diagonal, so
-    # the factorizations inserting to one are missing from the tables
+    # pkr_fibre's confirm records through the same _record, so it
+    # rejects every pair with a primed diagonal, and the factorizations
+    # inserting to one are missing from the tables
     roundtrip = verify.check_pkr_roundtrip(3, 5, 3)
     assert roundtrip["checked"] == 3203
     missed = [w for w in roundtrip["failures"] if "fact" in w]
-    assert {w["fact"] for w in missed} == {
-        fmt(fact) for perm, m in DEFAULT_SWEEP
-        for fact in typeb.enumerate_factorizations(perm, m)
-        if _primed_diagonal(real(fact)[1])}
+    assert {w["fact"] for w in missed} == primed
     assert {w["detail"] for w in missed} == {"round trip failed"}
     for w in roundtrip["failures"]:
         if "t" in w:
@@ -194,12 +205,10 @@ def test_non_injective_pkr_is_a_witness(monkeypatch):
 
 
 def test_non_injective_pkr_inverse_is_a_witness(monkeypatch):
-    # a pkr_inverse that forgets the primes on T's diagonal gives two
+    # a pkr_fibre that forgets the primes on T's diagonal gives two
     # pairs one factorization of the same weight
-    real = kw.pkr_inverse
-
-    monkeypatch.setattr(kw, "pkr_inverse",
-                        lambda p, t, m: real(p, _unprimed_diagonal(t), m))
+    _plant_fibre(monkeypatch,
+                 lambda inverse, t: inverse(_unprimed_diagonal(t)))
     _, _, pairs, (checked, witnesses) = verify._pkr_fibres((2, -3, 1), 3)
     assert checked == 192
     prefix = "pkr_inverse is not injective: same factorization as "
@@ -220,9 +229,8 @@ def test_factorization_missing_from_its_table_is_a_witness(monkeypatch):
     # the factorizations that the doubled pairs should have reached are
     # in no pair of the table, so their transport is a witness naming
     # that, not a second insertion through pkr
-    real = kw.pkr_inverse
-    monkeypatch.setattr(kw, "pkr_inverse",
-                        lambda p, t, m: real(p, _unprimed_diagonal(t), m))
+    _plant_fibre(monkeypatch,
+                 lambda inverse, t: inverse(_unprimed_diagonal(t)))
     _, _, pairs, _ = verify._pkr_fibres((2, -3, 1), 3)
     missed = set(typeb.enumerate_factorizations((2, -3, 1), 3)) - pairs.keys()
     assert missed
@@ -233,11 +241,9 @@ def test_factorization_missing_from_its_table_is_a_witness(monkeypatch):
 
 
 def test_pkr_inverse_image_outside_the_perm_is_a_witness(monkeypatch):
-    # a pkr_inverse that reverses the factor order leaves the
+    # a pkr_fibre that reverses the factor order leaves the
     # factorizations of the perm; the union check names each image
-    real = kw.pkr_inverse
-    monkeypatch.setattr(kw, "pkr_inverse",
-                        lambda p, t, m: real(p, t, m)[::-1])
+    _plant_fibre(monkeypatch, lambda inverse, t: inverse(t)[::-1])
     facts = set(typeb.enumerate_factorizations((2, -3, 1), 3))
     _, _, pairs, (_, witnesses) = verify._pkr_fibres((2, -3, 1), 3)
     outside = [F(w["fact"]) for w in witnesses if w["detail"]

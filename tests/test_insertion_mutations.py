@@ -5,10 +5,11 @@ by rewriting one line of the library's source, and the round-trip check
 that verify runs on the faulty insertion, at its default bounds, must
 stop on that final check's InvariantError.
 
-The reverse insertions confirm their result with one forward insertion.
-A fault planted in a reverse walk must be a witness of verify's round
-trip, and must make the inverse raise NotInImage on an image pair that
-the faulty walk undoes wrongly, which only the confirm can see.
+The reverse insertions confirm their result with a forward insertion
+(pkr_fibre one per removal order, then a recording per T).  A fault
+planted in a reverse walk must be a witness of verify's round trip, and
+must make the inverse raise NotInImage on an image pair that the faulty
+walk undoes wrongly, which only the confirm can see.
 """
 
 import inspect
@@ -62,7 +63,7 @@ def test_planted_insertion_fault_fails_verify(monkeypatch, fault, check):
 # pair that the faulty walk gets wrong without raising)
 REVERSE_FAULTS = {
     "unsigned-corner": (
-        (kw, "pkr_inverse", "sign = -1 if primality[bottom] else 1",
+        (kw, "pkr_fibre", "sign = -1 if primality[bottom] else 1",
          "sign = 1"),
         "pkr", lambda: kw.pkr_inverse(*kw.pkr(((-1, (0,)),)), m=1)),
     "right-predecessor": (

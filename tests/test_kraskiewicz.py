@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ import reference_validators as ref
 from qcrystal import kraskiewicz as kw
 from qcrystal import tableaux as tb
 from qcrystal import typeb
+from qcrystal.tableaux import NotInImage
 from qcrystal.typeb import parse_factorization as F
 from qcrystal.typeb import parse_word as W
 
@@ -401,6 +403,74 @@ def test_pkr_inverse_bijective_rank3():
                 pairs += 1
                 assert kw.pkr_inverse(p, t, m) == table[p, t], (p, t, m)
     assert pairs == 3203
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _fibre_oracle_pairs():
+    """Each (P, m, T) with P an insertion tableau of rank 3, length <= 5,
+    m <= 3, and T of P's shape with entries <= m + 1, or of another
+    strict shape of P's size with entries <= m."""
+    ps = {kw.kr(w)[0] for perm in typeb.enumerate_perms(3)
+          if typeb.length(perm) <= 5 for w in typeb.enumerate_reduced(perm)}
+    for p in sorted(ps):
+        shape = tb.shape_of(p)
+        for m in (1, 2, 3):
+            ts = list(tb.enumerate_pt(m + 1, shape, diagonal_unprimed=False))
+            for other in tb.strict_partitions(sum(shape)):
+                if sum(other) == sum(shape) and other != shape:
+                    ts += tb.enumerate_pt(m, other, diagonal_unprimed=False)
+            yield p, m, ts
+
+
+def test_pkr_fibre_equals_per_pair_oracle():
+    # one walk per removal order answers every T as the per-pair walk
+    # does, bad T's (a wrong shape, a factor above m) with its message
+    found = collections.Counter()
+    for p, m, ts in _fibre_oracle_pairs():
+        inverse = kw.pkr_fibre(p, m)
+        for t in ts:
+            got = _outcome(inverse, t)
+            assert got == _outcome(ref_kr.pkr_inverse, p, t, m), (p, t, m)
+            found[got[1].split(" ")[0] if got[0] is NotInImage else "ok"] += 1
+    assert found == {"ok": 3203, "shapes": 3880, "factor": 9544}
+    # a T that is no tableau is refused before its shape is read
+    p = kw.pkr(F("(+01)"))[0]
+    assert (_outcome(kw.pkr_fibre(p, 1), ((2, 2), (2,)))
+            == _outcome(ref_kr.pkr_inverse, p, ((2, 2), (2,)), 1))
+    assert _outcome(kw.pkr_fibre(p, 1), ((2, 2), (2,)))[1].startswith(
+        "recording tableau invalid: ")
+
+
+def test_pkr_fibre_rejects_as_the_oracle_does(monkeypatch):
+    # a recording that forgets diagonal primes leaves every T with a
+    # primed diagonal out of the image; both inverses say so alike
+    real = kw._record
+    monkeypatch.setattr(kw, "_record", lambda boxes, fact: tuple(
+        (tb.code(tb.code_value(row[0]), False),) + row[1:]
+        for row in real(boxes, fact)))
+    missed = 0
+    for p, m, ts in _fibre_oracle_pairs():
+        inverse = kw.pkr_fibre(p, m)
+        for t in tb.enumerate_pt(m, tb.shape_of(p), diagonal_unprimed=False):
+            got = _outcome(inverse, t)
+            assert got == _outcome(ref_kr.pkr_inverse, p, t, m), (p, t, m)
+            if any(tb.code_primed(row[0]) for row in t):
+                missed += 1
+                assert got == (NotInImage,
+                               "no factorization inserts to the pair")
+    assert missed
+    # and an invalid P is refused once, when its fibre is asked for
+    bad = ((0, 0),)
+    assert (_outcome(kw.pkr_fibre, bad, 1)
+            == _outcome(ref_kr.pkr_inverse, bad, ((2, 2),), 1)
+            == (NotInImage, "insertion tableau invalid: row 1 is not "
+                            "unimodal"))
 
 
 def test_pkr_inverse_injectivity_check_fires(monkeypatch):

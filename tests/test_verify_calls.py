@@ -1,14 +1,15 @@
-"""verify inserts each element once: call counts of the documented run.
+"""Each element is inserted once: call counts of the documented runs.
 
 Re-inserting per element (a pkr per factorization, an hm_inverse and an
-hm per transported tableau) changes no report, only the number of
-insertion calls, so those of verify_all(3, 5) are pinned here.
+hm per transported tableau, a check of P per recording tableau) changes
+no report or graph, only the number of insertion calls, so those of
+verify_all(3, 5) and of the graph-fact closure are pinned here.
 """
 
 import collections
 
+from qcrystal import engine, models, mixed, ptops, typeb, verify
 from qcrystal import kraskiewicz as kw
-from qcrystal import mixed, ptops, typeb, verify
 from qcrystal import tableaux as tb
 
 
@@ -27,23 +28,30 @@ def _pkr_fibres(rank, max_len, max_m):
     return count
 
 
+def _count(monkeypatch, calls, names):
+    """Count the calls of each (module, name), and as "inverse" those of
+    the functions pkr_fibre returns."""
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in names:
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    fibre = kw.pkr_fibre
+    monkeypatch.setattr(kw, "pkr_fibre", lambda p, m: counted(
+        "inverse", fibre(p, m)))
+
+
 def test_verify_all_inserts_each_element_once(monkeypatch):
     fibres = _pkr_fibres(3, 5, 3)
     calls = collections.Counter()
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    for module, name in ((kw, "pkr"), (kw, "kr"), (kw, "pkr_inverse"),
-                         (kw, "kr_inverse"), (mixed, "hm"),
-                         (mixed, "hm_inverse"), (ptops, "transport_op")):
-        count(module, name)
+    _count(monkeypatch, calls, (
+        (kw, "pkr"), (kw, "kr"), (kw, "pkr_fibre"), (kw, "kr_inverse"),
+        (kw, "validate_sdt"), (mixed, "hm"), (mixed, "hm_inverse"),
+        (ptops, "transport_op")))
     report = verify.verify_all(3, 5)
     assert (report["checked"], report["failures"]) == (13519, [])
     # the PT transport reads one forward hm table per size, with no
@@ -53,8 +61,28 @@ def test_verify_all_inserts_each_element_once(monkeypatch):
     assert calls["hm"] == 364 + 363 == 727
     # only the hm round trip inverts, once per word of length <= 5
     assert calls["hm_inverse"] == sum(3 ** k for k in range(6)) == 364
-    # one per P-fibre pair (3,203 factorizations) and one per kr_inverse
-    assert calls["kr_inverse"] == 58
-    assert calls["pkr_inverse"] == 3203 + 58
-    # one pkr per P-fibre, plus those inside kr (kr round trip and vee)
+    # the kr round trip inserts each reduced word of length <= 5 once,
+    # and the vee sweep reads Q off it
+    assert calls["kr"] == calls["kr_inverse"] == 58
+    # one pkr_fibre per opened P-fibre and one per kr_inverse; its
+    # inverse runs once per pair (3,203 factorizations) and per kr_inverse
+    assert calls["pkr_fibre"] == fibres + 58
+    assert calls["inverse"] == 3203 + 58
+    # one pkr per P-fibre, plus those inside kr
     assert calls["pkr"] <= fibres + calls["kr"]
+    # P is checked once per insertion and once per fibre, not per pair
+    assert calls["validate_sdt"] == calls["pkr"] + calls["pkr_fibre"]
+
+
+def test_fact_closure_checks_p_once_per_fibre(monkeypatch):
+    # the graph-fact component: one pkr in the lift, one pkr_fibre for
+    # its 204 vertices, so P is checked twice, not once per vertex
+    calls = collections.Counter()
+    _count(monkeypatch, calls, ((kw, "pkr"), (kw, "pkr_fibre"),
+                                (kw, "pkr_inverse"), (kw, "validate_sdt")))
+    seed = models.seed_factorization((2, -3, 1), 4)
+    g = engine.component(models.model_fact(4), seed)
+    assert len(g.vertices) == 204
+    assert (calls["pkr"], calls["pkr_fibre"], calls["inverse"],
+            calls["pkr_inverse"]) == (1, 1, 204, 0)
+    assert calls["validate_sdt"] <= 2
