@@ -77,9 +77,11 @@ def _check_seed(seed, msg, shape=None) -> None:
                          f"expected {shape}")
 
 
-# tableau models: the builder's name on models (looked up at call time),
-# the seed parser, the default seed, and the option bounding the alphabet
+# word and tableau models: the builder's name on models (looked up at
+# call time), the seed parser, the default seed (words have none, so
+# --seed is required there), and the option bounding the alphabet
 _TABLEAU_MODELS = {
+    "words": ("model_words", typeb.parse_word, None, "n"),
     "pt": ("model_pt", tb.parse_primed, ptops.highest_pt, "n"),
     "ssdt": ("model_ssdt", tb.parse_plain, models.highest_ssdt, "n"),
     "spt": ("model_spt", tb.parse_primed, ptops.highest_pt, "m"),
@@ -87,25 +89,20 @@ _TABLEAU_MODELS = {
 
 
 def _graph_component(args) -> engine.CrystalGraph:
-    if args.model == "words":
-        _require({"seed": args.seed})
-        seed = typeb.parse_word(args.seed)
-        model = models.model_words(args.n)
-        _check_seed(seed, model.validate(seed))
-        return engine.component(model, seed)
     if args.model in _TABLEAU_MODELS:
         builder, parse, highest, bound = _TABLEAU_MODELS[args.model]
+        if highest is None:
+            _require({"seed": args.seed})
         n = getattr(args, bound)
         model = getattr(models, builder)(n)
         seed = (parse(args.seed) if args.seed is not None
                 else highest(n, args.shape))
         _check_seed(seed, model.validate(seed), args.shape)
         return engine.component(model, seed)
+    # model_fact's lift rejects a seed with other than m factors
     perm = typeb.parse_perm(args.perm)
     seed = (typeb.parse_factorization(args.seed) if args.seed is not None
             else models.seed_factorization(perm, args.m))
-    if len(seed) != args.m:
-        raise ValueError(f"seed has {len(seed)} factors, expected {args.m}")
     word = typeb.fact_word(seed)
     if (typeb.apply_word(word, len(perm)) != perm
             or len(word) != typeb.length(perm)):

@@ -316,6 +316,12 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
 
 def check_gl_axioms(graph: CrystalGraph) -> dict:
     """Check the gl(n) crystal conditions on every vertex of the graph."""
+    return _gl_axioms(graph)[0]
+
+
+def _gl_axioms(graph: CrystalGraph) -> tuple[dict, dict, dict]:
+    """check_gl_axioms' report, with the eps and phi it read off the
+    graph (``_graph_strings`` of every even color)."""
     model = graph.model
     failures: list[dict] = []
     fail = partial(_fail, failures, graph)
@@ -332,17 +338,15 @@ def check_gl_axioms(graph: CrystalGraph) -> dict:
             if kf != ke + p:
                 fail("gl1", i, u, f"phi={kf}, eps={ke}, pairing={p}")
     _arrow_axioms(graph, fail, even, eps_g, phi_g, ("gl2", "gl3", "gl4"), "")
-    return {
-        "suite": "gl-axioms",
-        "checked": len(graph.vertices),
-        "failures": failures,
-    }
+    report = {"suite": "gl-axioms", "checked": len(graph.vertices),
+              "failures": failures}
+    return report, eps_g, phi_g
 
 
 def check_q_axioms(graph: CrystalGraph) -> dict:
     """Check the q(n) crystal conditions (includes the gl(n) ones)."""
     model = graph.model
-    report = check_gl_axioms(graph)
+    report, eps_g, phi_g = _gl_axioms(graph)
     report["suite"] = "q-axioms"
     fail = partial(_fail, report["failures"], graph)
 
@@ -364,7 +368,6 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
         return edges2.get((c2, v))
 
     odd_pairs = [(graph.e_edges, "b1"), (graph.f_edges, "b1")]
-    eps_g, phi_g = _graph_strings(graph, range(3, model.n))
     for i in range(3, model.n):
         even_pairs = [(graph.e_edges, i), (graph.f_edges, i)]
         for odd in odd_pairs:

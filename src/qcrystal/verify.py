@@ -7,17 +7,17 @@ report is useful even when something breaks.  Reports have the shape
 iff ``failures`` is empty.  The fine-grained ``check_*`` functions take
 explicit bounds; the ``verify_*`` wrappers bundle them for the CLI.
 
-The insertion sweeps insert each element once.  The vee sweep reads
-each reduced word's Q off the kr round trip.  The primed-insertion round
-trip and the odd factorization transport read one P-fibre table per
-(perm, m) (``_pkr_fibres``): one pkr and one pkr_fibre per fibre, whose
-inverse runs once per pair and undoes each removal order once.  The
-tableau transport, hm(op(w)) = (op(t), q) for each word w with
-hm(w) = (t, q), reads one forward hm table per word length
-(``_hm_table``).  Nothing a table lacks falls back to an insertion: it
-is the witness.  verify_all builds each P-fibre table in the transport
-sweep and keeps only its round-trip result, which the pkr round trip
-then reports.
+The insertion sweeps insert each element once.  The kr round trip
+checks the vee lemma on the Q of each reduced word it inserts.  The
+primed-insertion round trip and the odd factorization transport read
+one P-fibre table per (perm, m) (``_pkr_fibres``): one pkr and one
+pkr_fibre per fibre, whose inverse runs once per pair and undoes each
+removal order once.  The tableau transport, hm(op(w)) = (op(t), q) for
+each word w with hm(w) = (t, q), reads one forward hm table per word
+length (``_hm_table``).  Nothing a table lacks falls back to an
+insertion: it is the witness.  verify_all builds each P-fibre table in
+the transport sweep and keeps only its round-trip result, which the pkr
+round trip then reports.
 """
 
 import dataclasses
@@ -142,23 +142,31 @@ def _reduced_words(n: int, max_len: int):
                 yield w
 
 
-def check_kr_roundtrip(n: int, max_len: int, _qs=None) -> dict:
+def check_kr_roundtrip(n: int, max_len: int) -> dict:
     """Reduced-word insertion round-trips; images are decomposition
     tableaux of the same permutation; fibers over one insertion tableau
-    carry every standard recording tableau exactly once.
-
-    ``_qs``, when given, receives the Q of each word kr inserts, so that
-    check_vee inserts none of them again.
+    carry every standard recording tableau exactly once; and the vee
+    lemma: a contiguous subword is unimodal iff its recording cells form
+    a vee.  One kr per reduced word serves all of these.  The vee
+    witnesses follow the kr-fiber ones; a nonempty word that kr rejects
+    is a witness of both kr and vee.
     """
     failures = []
+    vees = []
     checked = 0
     fibers: dict = {}
     for w in _reduced_words(n, max_len):
         checked += 1
         try:
             p, q = kw.kr(w)  # checks P and Q itself
-            if _qs is not None:
-                _qs[w] = q
+        except ValueError as exc:
+            failures.append({"check": "kr", "word": typeb.fmt_word(w),
+                             "detail": str(exc)})
+            if w:
+                vees.append({"check": "vee", "word": typeb.fmt_word(w),
+                             "detail": str(exc)})
+            continue
+        try:
             # a letter of P outside 0..n-1 makes apply_word raise
             if typeb.apply_word(kw.rw_sdt(p), n) != typeb.apply_word(w, n):
                 raise ValueError("reading word changes the permutation")
@@ -168,9 +176,20 @@ def check_kr_roundtrip(n: int, max_len: int, _qs=None) -> dict:
         except ValueError as exc:
             failures.append({"check": "kr", "word": typeb.fmt_word(w),
                              "detail": str(exc)})
+        for i in range(1, len(w) + 1):
+            for j in range(i, len(w) + 1):
+                checked += 1
+                uni = tb.is_unimodal(w[i - 1:j])
+                bottom = kw.vee_bottom(q, i, j)
+                if uni != (bottom is not None):
+                    vees.append({
+                        "check": "vee", "word": typeb.fmt_word(w),
+                        "i": i, "j": j,
+                        "detail": f"unimodal={uni} bottom={bottom}",
+                    })
+    # a reduced word of length <= max_len has a perm of just that length,
+    # so each fiber's perm has all of its reduced words enumerated
     for (perm, p), qs in fibers.items():
-        if typeb.length(perm) > max_len:
-            continue  # R(perm) not fully enumerated at this bound
         expect = set(tb.enumerate_st(tb.shape_of(p)))
         if qs != expect:
             failures.append({
@@ -178,7 +197,7 @@ def check_kr_roundtrip(n: int, max_len: int, _qs=None) -> dict:
                 "p": tb.fmt_plain(p),
                 "detail": f"fiber has {len(qs)} of {len(expect)} tableaux",
             })
-    return _report("kr-roundtrip", checked, failures)
+    return _report("kr-roundtrip", checked, failures + vees)
 
 
 def _pkr_fibres(perm, m: int):
@@ -266,52 +285,18 @@ def check_pkr_roundtrip(rank: int, max_len: int, max_m: int,
     return _report("pkr-roundtrip", checked, failures)
 
 
-def check_vee(rank: int, max_len: int, _qs=None) -> dict:
-    """A contiguous subword is unimodal iff its recording cells form a
-    vee, for every reduced word within the bound.
-
-    The Q of a word in ``_qs`` (check_kr_roundtrip's) is read off it;
-    the other words are inserted here.
-    """
-    failures = []
-    checked = 0
-    qs = _qs or {}
-    for w in _reduced_words(rank, max_len):
-        if not w:
-            continue
-        try:
-            q = qs[w] if w in qs else kw.kr(w)[1]  # checks P and Q itself
-        except ValueError as exc:
-            failures.append({"check": "vee", "word": typeb.fmt_word(w),
-                             "detail": str(exc)})
-            continue
-        for i in range(1, len(w) + 1):
-            for j in range(i, len(w) + 1):
-                checked += 1
-                uni = tb.is_unimodal(w[i - 1:j])
-                bottom = kw.vee_bottom(q, i, j)
-                if uni != (bottom is not None):
-                    failures.append({
-                        "check": "vee", "word": typeb.fmt_word(w),
-                        "i": i, "j": j,
-                        "detail": f"unimodal={uni} bottom={bottom}",
-                    })
-    return _report("vee", checked, failures)
-
-
 def verify_bijections(n: int = 3, max_size: int = 5,
                       _roundtrips=None) -> dict:
     """Round-trips for all three insertions plus the vee lemma.
 
     The primed insertion sweep is pinned to rank 3, length 5, m 3 (the
     scale the factor theorems are verified at); the others follow the
-    given bounds.  The vee sweep reads Q off the kr round trip.
+    given bounds.  The vee lemma is checked inside the kr round trip, on
+    the Q of each reduced word it inserts.
     """
-    qs: dict = {}
     return _merge("bijections", [
         check_hm_roundtrip(n, max_size),
-        check_kr_roundtrip(n, max_size, qs),
-        check_vee(min(n, 3), max_size, qs),
+        check_kr_roundtrip(n, max_size),
         check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3, _roundtrips),
     ])
 

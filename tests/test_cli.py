@@ -226,12 +226,20 @@ def test_witnesses_print_through_the_text_codec(monkeypatch):
     assert verify.check_kr_roundtrip(2, 2)["failures"][:2] == [
         {"check": "kr", "word": "01", "detail": "round trip failed"},
         {"check": "kr", "word": "10", "detail": "round trip failed"}]
-    assert verify.check_kr_roundtrip(2, 1)["failures"][-1] == {
-        "check": "kr-fiber", "perm": "2,1", "p": "1",
-        "detail": "fiber has 1 of 0 tableaux"}
-    assert verify.check_vee(2, 1)["failures"][0] == {
-        "check": "vee", "word": "0", "i": 1, "j": 1,
-        "detail": "unimodal=True bottom=None"}
+    # one report: the kr-fiber witnesses, then the vee witnesses
+    assert verify.check_kr_roundtrip(2, 1)["failures"][2:4] == [
+        {"check": "kr-fiber", "perm": "2,1", "p": "1",
+         "detail": "fiber has 1 of 0 tableaux"},
+        {"check": "vee", "word": "0", "i": 1, "j": 1,
+         "detail": "unimodal=True bottom=None"}]
+
+
+def test_vee_lemma_runs_at_rank_n(monkeypatch):
+    # the letter 3 is a reduced word at rank 4 only
+    monkeypatch.setattr(kw, "vee_bottom", lambda q, i, j: None)
+    assert {"check": "vee", "word": "3", "i": 1, "j": 1,
+            "detail": "unimodal=True bottom=None"} in (
+        verify.verify_bijections(4, 1)["failures"])
 
 
 def test_pt_transport_records_a_rule_error(monkeypatch):
@@ -474,6 +482,14 @@ def test_words_seed_is_checked_by_the_model(capsys, monkeypatch):
     code, out, err = run(capsys, "graph", "--model", "words", "--n", "3",
                          "--seed", "13")
     assert (code, out, err) == (2, "", "error: planted\n")
+
+
+def test_fact_seed_with_other_than_m_factors(capsys):
+    # a reduced word of 2,-3,1 cut into 3 factors, where --m asks for 2
+    code, out, err = run(capsys, "graph", "--model", "fact", "--perm",
+                         "2,-3,1", "--m", "2", "--seed", "(+12)(+101)()")
+    assert (code, out) == (2, "")
+    assert err == "error: seed has 3 factors, expected 2\n"
 
 
 @pytest.mark.parametrize("argv", [
