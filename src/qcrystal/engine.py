@@ -91,8 +91,10 @@ class CrystalGraph:
     model: CrystalModel
     vertices: list[Element]
     names: list[str]  # model.fmt of each vertex, the sort key
-    # keyed by (color, source index); e_edges computed from model.e /
-    # model.e_bar independently of f_edges, so mispaired arrows show up
+    # keyed by (color, source index) and built in source-index order, the
+    # colors of each source 1..n-1 then "b1"; every reader iterates them
+    # in that order.  e_edges computed from model.e / model.e_bar
+    # independently of f_edges, so mispaired arrows show up
     f_edges: dict[tuple[Color, int], int]
     e_edges: dict[tuple[Color, int], int]
 
@@ -187,7 +189,9 @@ def _sorted_graph(model: CrystalModel, found: list,
 
     arrows[k] holds the f and then e target of each color of found[k]
     (the odd pair last) as indices into found, or None.  Each vertex is
-    formatted once; the strings stay on the graph as its names.
+    formatted once; the strings stay on the graph as its names.  Both
+    arrow dicts are filled in sorted source order, and for each source in
+    color order 1..n-1 then "b1": the one canonical arrow order.
     """
     keys = [model.fmt(b) for b in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
@@ -277,7 +281,7 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
     every e-arrow, must be undone by an arrow of the other dict.
     conditions names these three checks (gl2, gl3, gl4 or q3, q3, q4),
     and bar suffixes the operator names in the details.  Returns the
-    e-arrows in _edge_key order.
+    e-arrows of those colors, in the graph's order.
 
     eps dropping along e and phi dropping along f are not checked: they
     cannot fail.  eps_g is the length of the e-chain read off these very
@@ -288,8 +292,7 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
     model = graph.model
     up_c, down_c, pair_c = conditions
     ups, downs = (
-        sorted((arrow for arrow in edges.items() if arrow[0][0] in colors),
-               key=_edge_key)
+        [arrow for arrow in edges.items() if arrow[0][0] in colors]
         for edges in (graph.e_edges, graph.f_edges))
     # per operator: its condition, its arrows, the dict that must undo
     # them, and the string that must rise by one along them
@@ -390,15 +393,6 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     return report
 
 
-def _edge_key(item):
-    (color, u), v = item
-    return (u, _color_key(color), v)
-
-
-def _color_key(color: Color):
-    return (0, color) if isinstance(color, int) else (1, 0)
-
-
 # ---------------------------------------------------------------------------
 # extreme vertices
 
@@ -406,7 +400,8 @@ def _weyl(graph: CrystalGraph, word: Sequence[int], u: int) -> int:
     """S_{word[0]} S_{word[1]} ... on vertex index u, rightmost first.
 
     S_i takes <wt, h_i> steps along the f_i-arrows, or minus that many
-    along the e_i-arrows.
+    along the e_i-arrows.  A missing arrow is a ValueError: the graph is
+    not a crystal there.
     """
     for i in reversed(word):
         k = pairing(graph.model, i, graph.vertices[u])
@@ -414,7 +409,7 @@ def _weyl(graph: CrystalGraph, word: Sequence[int], u: int) -> int:
         for _ in range(abs(k)):
             u = edges.get((i, u))
             if u is None:
-                raise RuntimeError(f"S_{i} ran off the crystal")
+                raise ValueError(f"S_{i} ran off the crystal")
     return u
 
 
@@ -439,13 +434,16 @@ def _the_one(graph: CrystalGraph, which: str, found: list) -> Element:
 
 
 def find_highest(graph: CrystalGraph) -> Element:
-    """The unique vertex killed by every raising operator."""
+    """The unique vertex killed by every raising operator; ValueError
+    if there is not exactly one, or if a Weyl walk runs off the graph."""
     return _the_one(graph, "highest", [
         u for u in range(len(graph)) if _is_q_highest(graph, u)])
 
 
 def find_lowest(graph: CrystalGraph) -> Element:
-    """The unique vertex carried to the highest one by S_{w_0}."""
+    """The unique vertex carried to the highest one by S_{w_0};
+    ValueError if there is not exactly one, or if a Weyl walk runs off
+    the graph."""
     word = w0_word(graph.model.n)
     return _the_one(graph, "lowest", [
         u for u in range(len(graph))
@@ -464,7 +462,7 @@ def to_dot(graph: CrystalGraph) -> str:
     names = [_dot_quote(name) for name in graph.names]
     lines = [f"digraph {graph.model.name} {{", "  rankdir=TB;"]
     lines += [f"  {name};" for name in names]
-    for (color, u), v in sorted(graph.f_edges.items(), key=_edge_key):
+    for (color, u), v in graph.f_edges.items():
         lines.append(f"  {names[u]} -> {names[v]} [label=\"{color}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -476,7 +474,7 @@ def to_json(graph: CrystalGraph) -> dict:
     names = graph.names
     edges = [
         {"src": names[u], "color": color, "dst": names[v]}
-        for (color, u), v in sorted(graph.f_edges.items(), key=_edge_key)
+        for (color, u), v in graph.f_edges.items()
     ]
     return {
         "vertices": list(names),

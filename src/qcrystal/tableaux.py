@@ -77,15 +77,14 @@ def strict_partitions(max_total: int) -> list[tuple[int, ...]]:
     out = []
 
     def rec(prefix: tuple[int, ...], biggest: int, left: int):
-        for part in range(min(biggest, left), 0, -1):
-            rec(prefix + (part,), part - 1, left - part)
-        if prefix:
+        # parts in ascending order, so each size comes out sorted
+        if not left:
             out.append(prefix)
+        for part in range(1, min(biggest, left) + 1):
+            rec(prefix + (part,), part - 1, left - part)
 
     for total in range(1, max_total + 1):
-        start = len(out)
         rec((), total, total)
-        out[start:] = sorted(p for p in out[start:] if sum(p) == total)
     return out
 
 
@@ -522,43 +521,34 @@ def enumerate_st(shape: Sequence[int]) -> list[Rows]:
 
 def enumerate_pt(n: int, shape: Sequence[int],
                  diagonal_unprimed: bool = True) -> list[Rows]:
-    """All primed tableaux (or signed ones) of a shape over 1'..n."""
+    """All primed tableaux (or signed ones) of a shape over 1'..n.
+
+    Cells are filled row-major, each with a code from max(west, north)
+    up, so rows and columns weakly increase and a repeated letter sits
+    next to its twin: a primed code may not equal its west neighbour (nor
+    sit on the diagonal, with diagonal_unprimed), an unprimed one its
+    north neighbour.
+    """
     shape = check_strict(shape)
     cells = list(shape_cells(shape))
     results: list[Rows] = []
     grid: dict[tuple[int, int], int] = {}
-
-    def ok(r: int, c: int, v: int) -> bool:
-        if diagonal_unprimed and r == c and code_primed(v):
-            return False
-        left = grid.get((r, c - 1))
-        if left is not None and left > v:
-            return False
-        up = grid.get((r - 1, c))
-        if up is not None and up > v:
-            return False
-        if code_primed(v):
-            if any(
-                grid.get((r, cc)) == v for cc in range(r, c)
-            ):
-                return False
-        else:
-            if any(
-                grid.get((rr, c)) == v for rr in range(0, r)
-            ):
-                return False
-        return True
 
     def rec(k: int):
         if k == len(cells):
             results.append(from_cells(shape, grid))
             return
         r, c = cells[k]
-        for v in range(1, 2 * n + 1):
-            if ok(r, c, v):
-                grid[(r, c)] = v
-                rec(k + 1)
-                del grid[(r, c)]
+        west, north = grid.get((r, c - 1), 0), grid.get((r - 1, c), 0)
+        for v in range(max(west, north, 1), 2 * n + 1):
+            if code_primed(v):
+                if v == west or (diagonal_unprimed and r == c):
+                    continue
+            elif v == north:
+                continue
+            grid[(r, c)] = v
+            rec(k + 1)
+            del grid[(r, c)]
 
     rec(0)
     return results

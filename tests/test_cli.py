@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import time
 
@@ -273,6 +274,27 @@ def test_kr_fault_is_a_witness_of_kr_and_vee(capsys, monkeypatch):
     failures = json.loads(out)["failures"]
     assert {"check": "vee", "word": "10", "detail": "planted"} in failures
     assert {"check": "kr", "word": "10", "detail": "planted"} in failures
+
+
+def test_weyl_walk_off_the_crystal_is_a_highlow_witness(capsys,
+                                                         monkeypatch):
+    # a pt model without colour-1 arrows: S_1 runs off every component
+    # that has a vertex of nonzero 1-pairing, and the report survives
+    real = models.model_pt
+
+    def planted(n):
+        return dataclasses.replace(
+            real(n), e=lambda i, t: None if i == 1 else ptops.e_even_pt(i, t),
+            f=lambda i, t: None if i == 1 else ptops.f_even_pt(i, t))
+
+    monkeypatch.setattr(models, "model_pt", planted)
+    code, out, err = run(capsys, "verify", "--suite", "highlow",
+                         "--n", "3", "--max-size", "3")
+    assert (code, err) == (1, "")
+    failures = json.loads(out)["failures"]
+    assert {"check": "highlow", "family": "pt", "n": 3, "shape": [2, 1],
+            "detail": "S_1 ran off the crystal"} in failures
+    assert {f["family"] for f in failures} == {"pt"}
 
 
 def test_graph_missing_flags(capsys):

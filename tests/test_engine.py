@@ -164,7 +164,7 @@ def _q5ii_through_the_model(g):
     """q5ii with eps/phi computed by the model's operators, not the graph."""
     model, out = g.model, []
     for i in range(3, model.n):
-        for (c, u), v in sorted(g.e_edges.items(), key=engine._edge_key):
+        for (c, u), v in g.e_edges.items():
             if c != "b1":
                 continue
             bu, bv = g.vertices[u], g.vertices[v]

@@ -169,6 +169,11 @@ def test_shape_helpers():
     assert tb.from_cells((), {}) == ()
     assert ref.get(((2, 3), (4,)), 1, 1) == 4
     assert ref.get(((2, 3), (4,)), 1, 0) is None
+    strict = [p for k in range(1, 11) for p in sorted(
+        p for size in range(1, k + 1)
+        for p in itertools.combinations(range(k, 0, -1), size)
+        if sum(p) == k)]
+    assert tb.strict_partitions(10) == strict
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +417,26 @@ def test_enumerate_st_against_validator():
 
 
 def test_enumerate_pt_against_validator():
-    for n, shape in [(2, (2,)), (2, (2, 1)), (3, (2,))]:
-        got = set(tb.enumerate_pt(n, shape))
+    # the brute-force row-major fill, in itertools.product order, pins
+    # the order of the list as well as its contents
+    for n, shape, diagonal_unprimed in [
+            (2, (2,), True), (2, (2, 1), True), (3, (2,), True),
+            (3, (3, 2, 1), True), (2, (2, 1), False), (3, (2, 1), False),
+            (3, (3, 1), False)]:
+        got = tb.enumerate_pt(n, shape, diagonal_unprimed=diagonal_unprimed)
         cells = list(tb.shape_cells(shape))
-        brute = set()
-        for fill in itertools.product(range(1, 2 * n + 1), repeat=len(cells)):
+        brute = []
+        for fill in itertools.product(range(1, 2 * n + 1),
+                                      repeat=len(cells)):
             rows = []
             it = iter(fill)
             for part in shape:
                 rows.append(tuple(next(it) for _ in range(part)))
             rows = tuple(rows)
-            if tb.validate_pt(rows, n=n) is None:
-                brute.add(rows)
-        assert got == brute
+            if tb.validate_pt(rows, n=n,
+                              diagonal_unprimed=diagonal_unprimed) is None:
+                brute.append(rows)
+        assert got == brute, (n, shape, diagonal_unprimed)
 
 
 def test_enumerate_pt_counts():
