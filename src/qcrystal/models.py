@@ -136,17 +136,14 @@ def seed_factorization(perm: tuple, m: int):
 # extreme decomposition tableaux
 
 def highest_ssdt(n: int, shape) -> Rows:
-    """Nested border strips, the outermost filled with 1.
+    """Cell (r, r + j) holds d(r, j) = #{r' >= r : shape[r'] > j}
+    (tb.rim_depths): the nested rim strips, the outermost filled with 1.
 
     >>> tb.fmt_plain(highest_ssdt(4, (5, 3, 1)))
     '3 2 2 1 1 / 2 1 1 / 1'
     """
     shape = tb.check_strict(shape, n)
-    cells: dict[tuple[int, int], int] = {}
-    for k, strip in enumerate(tb.border_strips(shape)):
-        for (r, c), _ in strip:
-            cells[(r, c)] = k + 1
-    out = tb.from_cells(shape, cells)
+    out = tb.rim_depths(shape)
     msg = tb.validate_ssdt(out, n=n)
     if msg is not None:
         raise tb.InvariantError(msg)

@@ -356,7 +356,9 @@ def highest_pt(n: int, shape) -> Rows:
 
 
 def lowest_pt(n: int, shape) -> Rows:
-    """Nested border strips of the largest letters, primed where the strip
+    """Cell (r, r + j) holds n + 1 - d(r, j), with d = tb.rim_depths(shape),
+    primed exactly when the cell below it, (r + 1, r + j), has the same d:
+    the nested rim strips of the largest letters, primed where a strip
     climbs.
 
     >>> tb.fmt_primed(lowest_pt(5, (5, 3, 1)))
@@ -365,12 +367,12 @@ def lowest_pt(n: int, shape) -> Rows:
     "2 3' 3 / 3"
     """
     shape = tb.check_strict(shape, n)
-    cells: dict[tuple[int, int], int] = {}
-    for k, strip in enumerate(tb.border_strips(shape)):
-        value = n - k
-        for (r, c), entered_north in strip:
-            cells[(r, c)] = tb.code(value, entered_north)
-    out = tb.from_cells(shape, cells)
+    d = tb.rim_depths(shape)
+    out = tuple(
+        tuple(tb.code(n + 1 - x, 0 < j <= len(below) and below[j - 1] == x)
+              for j, x in enumerate(row))
+        for row, below in zip(d, d[1:] + ((),))
+    )
     msg = tb.validate_pt(out, n=n)
     if msg is not None:
         raise InvariantError(msg)

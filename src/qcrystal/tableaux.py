@@ -25,11 +25,13 @@ Rows = tuple[tuple[int, ...], ...]
 # shapes and primed letter codes
 
 def _int(tok: str, what: str, text: str) -> int:
-    """int(tok), or a ValueError quoting the token and the whole text."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"not an integer {tok!r} in {what} {text!r}") from None
+    """The integer tok spells as '-'? and ASCII digits, whitespace around
+    allowed, else a ValueError quoting tok and the whole text (int() alone
+    would take '+', '_' and non-ASCII digits, which nothing here prints)."""
+    digits = tok.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer {tok!r} in {what} {text!r}")
+    return int(tok)
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -93,6 +95,18 @@ def shape_cells(shape: Sequence[int]) -> Iterator[tuple[int, int]]:
     for r, length in enumerate(shape):
         for c in range(r, r + length):
             yield (r, c)
+
+
+def rim_depths(shape: Sequence[int]) -> Rows:
+    """d(r, j) at cell (r, r + j): the number of rows r' >= r with
+    shape[r'] > j.  It numbers the nested rim strips of S(shape) from 1
+    at the rim, and strip k has shape[k - 1] cells.
+
+    >>> rim_depths((5, 3, 1))
+    ((3, 2, 2, 1, 1), (2, 1, 1), (1,))
+    """
+    return tuple(tuple(sum(p > j for p in shape[r:]) for j in range(part))
+                 for r, part in enumerate(shape))
 
 
 def cell_map(rows: Rows) -> dict[tuple[int, int], int]:
@@ -170,9 +184,9 @@ def parse_primed(text: str) -> Rows:
         row = []
         for tok in chunk.split():
             primed = tok[-1] in PRIME_CHARS
-            value = tok[:-1] if primed else tok
             try:
-                row.append(code(int(value), primed))
+                row.append(code(_int(tok[:-1] if primed else tok,
+                                     "tableau", text), primed))
             except ValueError:
                 raise ValueError(
                     f"not a letter {tok!r} in tableau {text!r}") from None
@@ -448,46 +462,6 @@ def pr(rows: Rows, ptype: Iterable[int]) -> Rows:
 
 
 # ---------------------------------------------------------------------------
-# border strips (used by extreme-weight constructors)
-
-def border_strips(shape: Sequence[int]) -> list[list[tuple[tuple[int, int], bool]]]:
-    """Partition S(shape) into rim strips, one per diagonal cell.
-
-    Strips are produced for i = l(shape) down to 1; strip i starts at the
-    diagonal cell (i-1, i-1) and repeatedly moves east if possible, else
-    north, through cells not yet used.  Each strip is a list of
-    (cell, entered_northward) pairs and strip i has size shape[l-i].
-    """
-    shape = tuple(shape)
-    cellset = set(shape_cells(shape))
-    used: set[tuple[int, int]] = set()
-    l = len(shape)
-    out = []
-    for i in range(l, 0, -1):
-        r, c = i - 1, i - 1
-        strip = [((r, c), False)]
-        used.add((r, c))
-        while True:
-            east, north = (r, c + 1), (r - 1, c)
-            if east in cellset and east not in used:
-                r, c = east
-                strip.append(((r, c), False))
-            elif north in cellset and north not in used:
-                r, c = north
-                strip.append(((r, c), True))
-            else:
-                break
-            used.add((r, c))
-        if len(strip) != shape[l - i]:
-            raise InvariantError(
-                f"border strip {i} of {shape} has size {len(strip)}, "
-                f"expected {shape[l - i]}"
-            )
-        out.append(strip)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 def enumerate_st(shape: Sequence[int]) -> list[Rows]:
@@ -527,18 +501,17 @@ def enumerate_pt(n: int, shape: Sequence[int],
     up, so rows and columns weakly increase and a repeated letter sits
     next to its twin: a primed code may not equal its west neighbour (nor
     sit on the diagonal, with diagonal_unprimed), an unprimed one its
-    north neighbour.
+    north neighbour.  The fill keeps an explicit stack, one code iterator
+    per filled cell, so a long shape needs no stack frame per cell.
     """
     shape = check_strict(shape)
     cells = list(shape_cells(shape))
+    if not cells:
+        return [()]
     results: list[Rows] = []
     grid: dict[tuple[int, int], int] = {}
 
-    def rec(k: int):
-        if k == len(cells):
-            results.append(from_cells(shape, grid))
-            return
-        r, c = cells[k]
+    def choices(r: int, c: int) -> Iterator[int]:
         west, north = grid.get((r, c - 1), 0), grid.get((r - 1, c), 0)
         for v in range(max(west, north, 1), 2 * n + 1):
             if code_primed(v):
@@ -546,11 +519,20 @@ def enumerate_pt(n: int, shape: Sequence[int],
                     continue
             elif v == north:
                 continue
-            grid[(r, c)] = v
-            rec(k + 1)
-            del grid[(r, c)]
+            yield v
 
-    rec(0)
+    # stack[k] yields the codes left for cells[k]; a leaf is a full grid
+    stack = [choices(*cells[0])]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        grid[cells[len(stack) - 1]] = v
+        if len(stack) == len(cells):
+            results.append(from_cells(shape, grid))
+        else:
+            stack.append(choices(*cells[len(stack)]))
     return results
 
 

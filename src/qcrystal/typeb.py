@@ -22,7 +22,7 @@ Perm = tuple[int, ...]
 Factor = tuple[int, tuple[int, ...]]  # (sign in {+1,-1,0}, letters)
 Factorization = tuple[Factor, ...]
 
-from qcrystal.tableaux import is_unimodal
+from qcrystal.tableaux import _int, is_unimodal
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +30,13 @@ from qcrystal.tableaux import is_unimodal
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse digit text "0121" into the letters (0, 1, 2, 1)."""
+    letters = []
     for ch in text:
-        if not ch.isdecimal():
-            raise ValueError(f"not a digit {ch!r} in word {text!r}")
-    return tuple(int(ch) for ch in text)
+        try:
+            letters.append(_int(ch, "word", text))
+        except ValueError:
+            raise ValueError(f"not a digit {ch!r} in word {text!r}") from None
+    return tuple(letters)
 
 
 def fmt_word(word: Sequence[int]) -> str:
@@ -56,14 +59,8 @@ def check_perm(perm: Sequence[int]) -> Perm:
 
 def parse_perm(text: str) -> Perm:
     """Parse "3,-2,4,-1" into (3, -2, 4, -1)."""
-    values = []
-    for tok in text.split(","):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(
-                f"not an integer {tok!r} in permutation {text!r}") from None
-    return check_perm(tuple(values))
+    return check_perm(tuple(_int(tok, "permutation", text)
+                            for tok in text.split(",")))
 
 
 def fmt_perm(perm: Perm) -> str:

@@ -81,7 +81,8 @@ def test_criterion_04_component_of_33():
 
 def test_criterion_05_extremes_match_search():
     t0 = time.perf_counter()
-    checked = sum(_clean(verify.verify_highlow(n, 5)) for n in (1, 2, 3, 4))
+    checked = sum(_clean(verify.verify_highlow(n, size))
+                  for n, size in ((1, 5), (2, 5), (3, 5), (4, 5), (4, 7)))
     dt = time.perf_counter() - t0
     assert tb.fmt_plain(models.highest_ssdt(4, (5, 3, 1))) == \
         "3 2 2 1 1 / 2 1 1 / 1"

@@ -326,6 +326,15 @@ def test_enumerate_pt_count(capsys):
     assert len(lines) == 25
 
 
+def test_enumerate_pt_long_row(capsys):
+    # one stack frame per cell would overflow here; a one-row PT of
+    # length L over 1'..2 has 2L elements (1 1 .. 1 2' 2 .. 2, or no 2')
+    code, out, err = run(capsys, "enumerate", "--what", "pt",
+                         "--n", "2", "--shape", "1000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "count 2000"
+
+
 def test_enumerate_factorizations(capsys):
     code, out, _ = run(capsys, "enumerate", "--what", "factorizations",
                        "--perm", "3,2,-1", "--m", "3")
@@ -475,9 +484,23 @@ def test_bad_input_exits_2(capsys, argv):
       "--seed", "2 y / 1"], "not an integer 'y' in tableau '2 y / 1'"),
     (["graph", "--model", "pt", "--n", "3", "--shape", "2,,1"],
      "argument --shape: not an integer '' in shape '2,,1'"),
+    # int() would take these; the formatters never print them
+    (["graph", "--model", "pt", "--n", "3", "--shape", "1_1"],
+     "argument --shape: not an integer '1_1' in shape '1_1'"),
+    (["insert", "--algo", "kr", "٣"], "not a digit '٣' in word '٣'"),
+    (["graph", "--model", "pt", "--n", "3", "--shape", "2",
+      "--seed", "1 ٢"], "not a letter '٢' in tableau '1 ٢'"),
+    (["graph", "--model", "pt", "--n", "3", "--shape", "2",
+      "--seed", "1 +2"], "not a letter '+2' in tableau '1 +2'"),
+    (["enumerate", "--what", "reduced", "--perm", "٢,١"],
+     "not an integer '٢' in permutation '٢,١'"),
+    (["enumerate", "--what", "reduced", "--perm", "+1"],
+     "not an integer '+1' in permutation '+1'"),
 ], ids=["word-letter", "perm-empty-token", "perm-empty",
         "verify-equivalence-perm-empty", "verify-all-perm-empty",
-        "primed-letter", "plain-entry", "shape-part"])
+        "primed-letter", "plain-entry", "shape-part", "shape-underscore",
+        "word-arabic-digit", "primed-arabic-digit", "primed-plus",
+        "perm-arabic-digits", "perm-plus"])
 def test_bad_text_names_the_token(capsys, argv, message):
     try:
         code, out, err = run(capsys, *argv)

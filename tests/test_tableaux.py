@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_ptops as ref_ptops
 import reference_validators as ref
+from qcrystal import models, ptops
 from qcrystal import tableaux as tb
 from qcrystal.typeb import parse_word
 
@@ -147,9 +148,18 @@ def test_parse_plain():
     (tb.parse_shape, "2,,1", "not an integer '' in shape '2,,1'"),
     (tb.parse_shape, "3,1,", "not an integer '' in shape '3,1,'"),
     (tb.parse_shape, "3;1", "not an integer '3;1' in shape '3;1'"),
+    # int() would take these; the formatters never print them
+    (tb.parse_shape, "1_1", "not an integer '1_1' in shape '1_1'"),
+    (tb.parse_shape, "+3", "not an integer '+3' in shape '+3'"),
+    (tb.parse_primed, "1 ٢", "not a letter '٢' in tableau '1 ٢'"),
+    (tb.parse_primed, "1 +2", "not a letter '+2' in tableau '1 +2'"),
+    (tb.parse_primed, "1 2_2'", "not a letter \"2_2'\" in tableau \"1 2_2'\""),
+    (tb.parse_plain, "٣ 1", "not an integer '٣' in tableau '٣ 1'"),
 ], ids=["primed-letter", "primed-double-prime", "primed-bare-prime",
         "plain-entry", "shape-empty-part", "shape-trailing-comma",
-        "shape-separator"])
+        "shape-separator", "shape-underscore", "shape-plus",
+        "primed-arabic-digit", "primed-plus", "primed-underscore",
+        "plain-arabic-digit"])
 def test_parsers_name_the_bad_token(parse, text, message):
     with pytest.raises(ValueError) as exc:
         parse(text)
@@ -369,25 +379,25 @@ def test_dpr_pr_roundtrip_shape_21():
 
 
 # ---------------------------------------------------------------------------
-# border strips
+# rim strips: the count d(r, j) behind the extreme tableaux
 
 
-def test_border_strips_531():
-    strips = tb.border_strips((5, 3, 1))
-    assert [len(s) for s in strips] == [5, 3, 1]
-    assert [cell for cell, _ in strips[0]] == [
-        (2, 2), (1, 2), (1, 3), (0, 3), (0, 4),
-    ]
-    assert [north for _, north in strips[0]] == [False, True, False, True, False]
-    assert [cell for cell, _ in strips[1]] == [(1, 1), (0, 1), (0, 2)]
-    assert [cell for cell, _ in strips[2]] == [(0, 0)]
+def test_rim_depths_531():
+    assert tb.rim_depths((5, 3, 1)) == ((3, 2, 2, 1, 1), (2, 1, 1), (1,))
+    # a cell is primed in lowest_pt where its strip climbs: the cell
+    # below it lies in the same strip
+    primes = [[tb.code_primed(c) for c in row]
+              for row in ptops.lowest_pt(5, (5, 3, 1))]
+    assert primes == [[False, True, False, True, False],
+                      [False, True, False], [False]]
 
 
-def test_border_strips_cover_every_shape():
+def test_highest_ssdt_strip_sizes():
     for shape in [(1,), (2,), (2, 1), (3, 1), (3, 2), (4, 2, 1), (5, 3, 1)]:
-        strips = tb.border_strips(shape)
-        cells = [cell for strip in strips for cell, _ in strip]
-        assert sorted(cells) == sorted(tb.shape_cells(shape))
+        entries = [v for row in models.highest_ssdt(len(shape), shape)
+                   for v in row]
+        assert [entries.count(k) for k in range(1, len(shape) + 2)] == \
+            list(shape) + [0]
 
 
 # ---------------------------------------------------------------------------
