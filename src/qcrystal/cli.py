@@ -31,11 +31,18 @@ from . import typeb
 from . import verify as verify_mod
 
 
-def _shape(text: str) -> tuple[int, ...]:
-    try:
-        return tb.parse_shape(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _argument(parse):
+    """An argparse type reading its text through the codec's parse."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return read
+
+
+_shape = _argument(tb.parse_shape)
+_number = _argument(lambda text: tb._int(text, "number", text))
 
 
 def _require(options: dict) -> None:
@@ -203,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the crystal component of a seed")
     p.add_argument("--model", choices=("words", "ssdt", "pt", "spt", "fact"),
                    required=True)
-    p.add_argument("--n", type=int, help="alphabet size / rank")
-    p.add_argument("--m", type=int, help="number of factors or entry bound")
+    p.add_argument("--n", type=_number, help="alphabet size / rank")
+    p.add_argument("--m", type=_number,
+                   help="number of factors or entry bound")
     p.add_argument("--shape", type=_shape, help="strict partition like 3,1")
     p.add_argument("--perm", help="signed permutation like 3,2,-1")
     p.add_argument("--seed", help="start element (default: highest weight)")
@@ -214,17 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list a finite family and count it")
     p.add_argument("--what", choices=("reduced", "factorizations",
                                       "pt", "ssdt"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_number)
+    p.add_argument("--m", type=_number)
     p.add_argument("--shape", type=_shape)
     p.add_argument("--perm")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(verify_mod.SUITES), required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--max-size", type=int, default=5)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_number, default=3)
+    p.add_argument("--max-size", type=_number, default=5)
+    p.add_argument("--m", type=_number)
     p.add_argument("--perm")
     p.add_argument("--corrupt", action="store_true",
                    help="negative control: break a model on purpose")

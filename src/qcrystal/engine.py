@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence, Union
 
-from .tableaux import InvariantError
+from .tableaux import InvariantError, _int
 
 Element = Hashable
 Color = Union[int, str]  # 1..n-1, or "b1" for the odd pair
@@ -109,7 +109,7 @@ class CrystalGraph:
 def _cap_from_env() -> int:
     text = os.environ.get("QCRYSTAL_MAX_VERTICES", str(DEFAULT_CAP))
     try:
-        value = int(text)
+        value = _int(text, "QCRYSTAL_MAX_VERTICES", text)
     except ValueError:
         value = 0
     if value < 1:
@@ -272,7 +272,7 @@ def _graph_strings(graph: CrystalGraph, colors) -> tuple[dict, dict]:
 
 
 def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
-                  phi_g: dict, conditions: tuple, bar: str) -> list:
+                  phi_g: dict, conditions: tuple, bar: str) -> None:
     """The arrow conditions on the e- and f-arrows of the given colors.
 
     Every e-arrow, then every f-arrow, must shift the weight by alpha_i
@@ -280,8 +280,7 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
     where the strings are known at both ends; then every f-arrow, then
     every e-arrow, must be undone by an arrow of the other dict.
     conditions names these three checks (gl2, gl3, gl4 or q3, q3, q4),
-    and bar suffixes the operator names in the details.  Returns the
-    e-arrows of those colors, in the graph's order.
+    and bar suffixes the operator names in the details.
 
     eps dropping along e and phi dropping along f are not checked: they
     cannot fail.  eps_g is the length of the e-chain read off these very
@@ -314,17 +313,10 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
             if inverse.get((i, v)) != u:
                 fail(pair_c, i, u,
                      f"{op}{bar}-arrow without matching {other}{bar}-arrow")
-    return ups
 
 
 def check_gl_axioms(graph: CrystalGraph) -> dict:
     """Check the gl(n) crystal conditions on every vertex of the graph."""
-    return _gl_axioms(graph)[0]
-
-
-def _gl_axioms(graph: CrystalGraph) -> tuple[dict, dict, dict]:
-    """check_gl_axioms' report, with the eps and phi it read off the
-    graph (``_graph_strings`` of every even color)."""
     model = graph.model
     failures: list[dict] = []
     fail = partial(_fail, failures, graph)
@@ -341,15 +333,17 @@ def _gl_axioms(graph: CrystalGraph) -> tuple[dict, dict, dict]:
             if kf != ke + p:
                 fail("gl1", i, u, f"phi={kf}, eps={ke}, pairing={p}")
     _arrow_axioms(graph, fail, even, eps_g, phi_g, ("gl2", "gl3", "gl4"), "")
-    report = {"suite": "gl-axioms", "checked": len(graph.vertices),
-              "failures": failures}
-    return report, eps_g, phi_g
+    return {
+        "suite": "gl-axioms",
+        "checked": len(graph.vertices),
+        "failures": failures,
+    }
 
 
 def check_q_axioms(graph: CrystalGraph) -> dict:
     """Check the q(n) crystal conditions (includes the gl(n) ones)."""
     model = graph.model
-    report, eps_g, phi_g = _gl_axioms(graph)
+    report = check_gl_axioms(graph)
     report["suite"] = "q-axioms"
     fail = partial(_fail, report["failures"], graph)
 
@@ -359,36 +353,28 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     for u, b in enumerate(graph.vertices):
         if any(x < 0 for x in model.weight(b)):
             fail("q2", "b1", u, f"negative weight {model.weight(b)}")
-    e_bar = _arrow_axioms(graph, fail, ("b1",), {}, {}, ("q3", "q3", "q4"),
-                          "_bar")
+    _arrow_axioms(graph, fail, ("b1",), {}, {}, ("q3", "q3", "q4"), "_bar")
 
-    def compose(first: tuple, second: tuple, u: int) -> Optional[int]:
-        edges1, c1 = first
-        edges2, c2 = second
-        v = edges1.get((c1, u))
-        if v is None:
-            return None
-        return edges2.get((c2, v))
-
-    odd_pairs = [(graph.e_edges, "b1"), (graph.f_edges, "b1")]
+    # a missing arrow reads as the vertex None, which starts no arrow
+    arrows = {"e": graph.e_edges, "f": graph.f_edges}
+    e_bar = [(u, v) for (i, u), v in graph.e_edges.items() if i == "b1"]
     for i in range(3, model.n):
-        even_pairs = [(graph.e_edges, i), (graph.f_edges, i)]
-        for odd in odd_pairs:
-            for ev in even_pairs:
+        for kind, odd in arrows.items():
+            for ekind, ev in arrows.items():
                 for u in range(len(graph.vertices)):
-                    left = compose(odd, ev, u)
-                    right = compose(ev, odd, u)
-                    if left != right:
-                        kind = "e" if odd[0] is graph.e_edges else "f"
-                        ekind = "e" if ev[0] is graph.e_edges else "f"
+                    if (ev.get((i, odd.get(("b1", u))))
+                            != odd.get(("b1", ev.get((i, u))))):
                         fail("q5i", i, u,
                              f"{kind}_bar1 and {ekind}_{i} do not commute")
-        for (_, u), v in e_bar:
-            if (i, u) not in eps_g or (i, v) not in eps_g:
+        for u, v in e_bar:
+            eps_u, phi_u, eps_v, phi_v = (
+                _graph_string(graph, edges, i, x)
+                for x in (u, v) for edges in arrows.values())
+            if None in (eps_u, phi_u, eps_v, phi_v):
                 continue
-            if eps_g[(i, u)] != eps_g[(i, v)]:
+            if eps_u != eps_v:
                 fail("q5ii", i, u, f"eps_{i} changes along e_bar")
-            if phi_g[(i, u)] != phi_g[(i, v)]:
+            if phi_u != phi_v:
                 fail("q5ii", i, u, f"phi_{i} changes along e_bar")
     return report
 

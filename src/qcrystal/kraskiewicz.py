@@ -21,10 +21,12 @@ that is the insertion of a prefix, which verify inserts as a word of its
 own.  A row step keeps the product (R·a = b·R' in B_n), so the row and
 the letter entering it are a factor of a reduced word; of the local
 undoings of a row (split it into a strictly decreasing and a strictly
-increasing part, invert the bumps, forward-check) at most one keeps R·a
-reduced.  The pairs with one P form a copy of the signed primed tableau
-crystal on T, so pkr_fibre(P, m) checks P once and inverts every T of
-that fibre; pkr_inverse is one call of it.
+increasing part, invert the bumps) at most one is unimodal and keeps
+R·a reduced, so reducedness picks the undoing and no row step runs
+forward to check it: re-inserting the whole word confirms the walk.
+The pairs with one P form a copy of the signed primed tableau crystal
+on T, so pkr_fibre(P, m) checks P once and inverts every T of that
+fibre; pkr_inverse is one call of it.
 
 Words are int tuples and factorizations tuples of (sign, letters); their
 text forms are parsed and printed only by ``typeb``.
@@ -182,10 +184,12 @@ def _row_candidates(row: tuple[int, ...], out: int):
 def _unbump(rows: Rows, r: int, c: int):
     """Undo the chain that appended the cell (r, c): (rows', a), or None.
 
-    A row step alone is not injective -- inserting 1 into (0, 1) and
-    into (0, 2) both leave the row (2, 1) and pass 0 down -- but of
-    0 1 1 and 0 2 1 only the second is reduced, and no row keeps more
-    than one reduced undoing.
+    Each row takes the one unimodal candidate (row, b) that keeps
+    row + (b,) reduced.  A row step alone is not injective -- inserting
+    1 into (0, 1) and into (0, 2) both leave the row (2, 1) and pass 0
+    down -- but of 0 1 1 and 0 2 1 only the second is reduced, and no
+    row keeps more than one reduced undoing.  No row step runs forward
+    here: the caller re-inserts the whole word it undid.
     """
     if not (0 <= r < len(rows)
             and c == r + len(rows[r]) - 1
@@ -199,15 +203,8 @@ def _unbump(rows: Rows, r: int, c: int):
     else:
         work[r] = work[r][:-1]
     for j in range(r - 1, -1, -1):
-        found = []
-        for row, b in sorted(_row_candidates(work[j], a)):
-            if not (tb.is_unimodal(row) and typeb.is_reduced(row + (b,))):
-                continue
-            try:
-                if _row_step(row, b) == ("cont", work[j], a):
-                    found.append((row, b))
-            except InsertionError:
-                pass
+        found = [(row, b) for row, b in sorted(_row_candidates(work[j], a))
+                 if tb.is_unimodal(row) and typeb.is_reduced(row + (b,))]
         if len(found) > 1:
             raise InvariantError(f"insertion not injective: {found}")
         if not found:
@@ -318,12 +315,14 @@ def pkr_fibre(p: Rows, m: int):
     sending T to the factorization inserting to (p, T).
 
     p is checked once, here.  T's entries give the order its cells are
-    undone in: factors last first, and each factor's boxes in the reverse
-    of the order pkr made them (the horizontal arm right to left, the
-    corner, then the vertical arm bottom to top).  Each removal order is
-    walked back once per call of pkr_fibre, and its word re-inserted
-    once, which must give p; each T then only cuts that word into signed
-    factors and records them, which must give T back.
+    undone in, the reverse of the order pkr made them: factor by factor,
+    the primed cells (the vertical arm) down the rows, then the unprimed
+    ones (the horizontal arm) along the columns, so one sort of the cells
+    gives it.  The corner, the factor's lowest cell and the leftmost on a
+    tie, gives only the factor's sign.  Each removal order is walked back
+    once per call of pkr_fibre, and its word re-inserted once, which must
+    give p; each T then only cuts that word into signed factors and
+    records them, which must give T back.
     """
     msg = validate_sdt(p)
     if msg is not None:
@@ -359,33 +358,24 @@ def pkr_fibre(p: Rows, m: int):
         if values and max(values) > m:
             raise NotInImage(f"factor number {max(values)} exceeds m={m}")
         t_cells = tb.cell_map(t)
-        order, signs = [], []
-        for fi in range(m, 0, -1):
-            primality = {cell: tb.code_primed(v)
-                         for cell, v in t_cells.items()
-                         if tb.code_value(v) == fi}
-            sign = 0
-            if primality:
-                bottom = max(primality, key=lambda rc: (rc[0], -rc[1]))
-                sign = -1 if primality[bottom] else 1
-                vertical = sorted(
-                    c for c, pr in primality.items() if pr and c != bottom)
-                horizontal = sorted(
-                    (c for c, pr in primality.items()
-                     if not pr and c != bottom),
-                    key=lambda rc: rc[1])
-                order.extend(reversed(vertical + [bottom] + horizontal))
-            signs.append((sign, len(primality)))
-        order = tuple(order)
+        # pkr made each factor's primed cells (code 2fi - 1) down the rows,
+        # then its unprimed cells (code 2fi) along the columns
+        made = sorted(t_cells, key=lambda rc: (
+            t_cells[rc], rc[0] if tb.code_primed(t_cells[rc]) else rc[1]))
+        order = tuple(reversed(made))
         if order not in walks:
             walks[order] = walk(order)
         if walks[order] is not None:
             word, boxes = walks[order]
-            factors, end = [], 0
-            for sign, size in reversed(signs):
-                factors.append((sign, word[end:end + size]))
-                end += size
-            fact = tuple(factors)
+            # a factor's sign is its corner's: read down the rows, each
+            # right to left, its lowest cell (leftmost on a tie) comes last
+            sign = {tb.code_value(v): -1 if tb.code_primed(v) else 1
+                    for row in t for v in reversed(row)}
+            factor = [tb.code_value(t_cells[cell]) for cell in made]
+            fact = tuple(
+                (sign.get(fi, 0),
+                 tuple(a for a, f in zip(word, factor) if f == fi))
+                for fi in range(1, m + 1))
             try:
                 typeb.check_factorization(fact)
                 if _record(boxes, fact) == t:

@@ -13,10 +13,12 @@ its one reduced path instead.  The row step and its local inverses are
 the library's own.
 
 ``pkr_inverse`` undoes one pair (P, T) at a time: it checks P, walks
-back every bump chain for T's removal order, and confirms with the whole
-forward insertion ``_pkr``.  It is kept as the oracle for
-``qcrystal.kraskiewicz.pkr_fibre``, which checks P once per fibre and
-walks back each removal order once.
+back every bump chain for T's removal order (``unbump``: each row's
+reduced undoing must also step forward to the row it undoes), and
+confirms with the whole forward insertion ``_pkr``.  It is kept as the
+oracle for ``qcrystal.kraskiewicz.pkr_fibre``, which checks P once per
+fibre, walks back each removal order once with no forward row step, and
+reads the order with one sort.
 
 ``row_candidates`` and ``vee_bottom_cells`` are the plain forms of the
 library's kernels: the first tries every split of the row and keeps the
@@ -35,7 +37,7 @@ from qcrystal import tableaux as tb
 from qcrystal import typeb
 from qcrystal.kraskiewicz import (
     InsertionError, _has_101, _insert, _pkr, _row_candidates, _row_step,
-    _unbump, validate_sdt)
+    validate_sdt)
 from qcrystal.tableaux import InvariantError, NotInImage, Rows
 from reference_validators import strictly_increasing
 
@@ -197,6 +199,42 @@ def kr_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     return survivors[0]
 
 
+def unbump(rows: Rows, r: int, c: int):
+    """Undo the chain that appended the cell (r, c): (rows', a), or None.
+
+    Each row keeps the candidate undoings that are unimodal, keep the
+    row and its letter reduced, and step forward to the row and the
+    letter it passed down; more than one is an InvariantError.
+    """
+    if not (0 <= r < len(rows)
+            and c == r + len(rows[r]) - 1
+            and (r == len(rows) - 1
+                 or len(rows[r]) - 1 > len(rows[r + 1]))):
+        return None
+    work = list(rows)
+    a = work[r][-1]
+    if len(work[r]) == 1:
+        work.pop()
+    else:
+        work[r] = work[r][:-1]
+    for j in range(r - 1, -1, -1):
+        found = []
+        for row, b in sorted(_row_candidates(work[j], a)):
+            if not (tb.is_unimodal(row) and typeb.is_reduced(row + (b,))):
+                continue
+            try:
+                if _row_step(row, b) == ("cont", work[j], a):
+                    found.append((row, b))
+            except InsertionError:
+                pass
+        if len(found) > 1:
+            raise InvariantError(f"insertion not injective: {found}")
+        if not found:
+            return None
+        (work[j], a), = found
+    return tuple(work), a
+
+
 def pkr_inverse(p: Rows, t: Rows, m: int):
     """The m-factor signed factorization inserting to (p, t).
 
@@ -230,7 +268,7 @@ def pkr_inverse(p: Rows, t: Rows, m: int):
                 (c for c, pr in primality.items() if not pr and c != bottom),
                 key=lambda rc: rc[1])
             for r, c in reversed(vertical + [bottom] + horizontal):
-                undone = _unbump(rows, r, c)
+                undone = unbump(rows, r, c)
                 if undone is None:
                     raise NotInImage("no factorization inserts to the pair")
                 rows, a = undone

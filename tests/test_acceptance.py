@@ -118,6 +118,8 @@ def test_criterion_08_bijectivity():
     kr_checked = sum(_clean(verify.check_kr_roundtrip(n, 6))
                      for n in (1, 2, 3, 4))
     pkr_checked = _clean(verify.check_pkr_roundtrip(3, 5, 3))
+    # and at rank 4, past the sweep verify pins to rank 3
+    pkr_checked += _clean(verify.check_pkr_roundtrip(4, 5, 3))
     dt = time.perf_counter() - t0
     print(f"criterion 8 PASS: round trips hm={hm_checked} kr={kr_checked} "
           f"pkr={pkr_checked} ({dt:.1f} s)")

@@ -93,7 +93,8 @@ def test_graph_cap_exceeded(capsys, monkeypatch):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("cap", ["abc", "2.5", "0", "-3", ""])
+@pytest.mark.parametrize("cap", ["abc", "2.5", "0", "-3", "", "1_0", "+5",
+                                 "٥"])
 def test_bad_vertex_cap_exits_2(capsys, monkeypatch, cap):
     # the one-vertex component of the empty word fits any cap >= 1, so
     # only the cap itself can be at fault
@@ -496,17 +497,27 @@ def test_bad_input_exits_2(capsys, argv):
      "not an integer '٢' in permutation '٢,١'"),
     (["enumerate", "--what", "reduced", "--perm", "+1"],
      "not an integer '+1' in permutation '+1'"),
+    # the integer options go through the same reader
+    (["enumerate", "--what", "pt", "--n", "٢", "--shape", "2,1"],
+     "argument --n: not an integer '٢' in number '٢'"),
+    (["verify", "--suite", "highlow", "--n", "+2", "--max-size", "1_0"],
+     "argument --n: not an integer '+2' in number '+2'"),
+    (["verify", "--suite", "highlow", "--n", "2", "--max-size", "1_0"],
+     "argument --max-size: not an integer '1_0' in number '1_0'"),
+    (["graph", "--model", "spt", "--m", "+2", "--shape", "1"],
+     "argument --m: not an integer '+2' in number '+2'"),
 ], ids=["word-letter", "perm-empty-token", "perm-empty",
         "verify-equivalence-perm-empty", "verify-all-perm-empty",
         "primed-letter", "plain-entry", "shape-part", "shape-underscore",
         "word-arabic-digit", "primed-arabic-digit", "primed-plus",
-        "perm-arabic-digits", "perm-plus"])
+        "perm-arabic-digits", "perm-plus", "n-arabic-digit", "n-plus",
+        "max-size-underscore", "m-plus"])
 def test_bad_text_names_the_token(capsys, argv, message):
     try:
         code, out, err = run(capsys, *argv)
     except SystemExit as exc:
-        # argparse rejects a bad --shape itself: usage lines, then one
-        # "qcrystal graph: error: ..." line
+        # argparse rejects a bad --shape or integer option itself: usage
+        # lines, then one "qcrystal graph: error: ..." line
         code = exc.code
         out, err = capsys.readouterr()
         assert err.startswith("usage: ") and err.count("error:") == 1

@@ -197,6 +197,19 @@ def test_q5ii_planted_e_bar_changes_the_3_string():
     assert _failures(report, "q3") and _failures(report, "q4")
 
 
+@pytest.mark.parametrize("end", ["23", "13"])
+def test_q5ii_skips_an_e_bar_arrow_with_a_looped_end(end):
+    # 23 -e_bar-> 13; an e_3 self-loop at either end leaves eps_3 unknown
+    # there, which gl1 reports and q5ii does not compare
+    g = engine.component(words_model(4), W("11"))
+    x = g.vertices.index(W(end))
+    g.e_edges[(3, x)] = x
+    report = engine.check_q_axioms(g)
+    assert {"condition": "gl1", "color": 3, "vertex": end,
+            "detail": "operator chain loops"} in report["failures"]
+    assert _failures(report, "q5ii") == []
+
+
 def test_q5i_missing_odd_arrow_breaks_commutation():
     model = words_model(4)
     g = engine.component(model, W("11"))

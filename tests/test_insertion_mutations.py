@@ -63,9 +63,15 @@ def test_planted_insertion_fault_fails_verify(monkeypatch, fault, check):
 # pair that the faulty walk gets wrong without raising)
 REVERSE_FAULTS = {
     "unsigned-corner": (
-        (kw, "pkr_fibre", "sign = -1 if primality[bottom] else 1",
-         "sign = 1"),
+        (kw, "pkr_fibre", "-1 if tb.code_primed(v) else 1", "1"),
         "pkr", lambda: kw.pkr_inverse(*kw.pkr(((-1, (0,)),)), m=1)),
+    # T = 1' 2' 2 / 2: factor 2's unprimed cells were made along the
+    # columns, (1, 1) before (0, 2), not down the rows
+    "unprimed-by-row": (
+        (kw, "pkr_fibre",
+         "rc[0] if tb.code_primed(t_cells[rc]) else rc[1]", "rc[0]"),
+        "pkr", lambda: kw.pkr_inverse(*kw.pkr(((-1, (0,)), (1, (2, 1, 0)))),
+                                      m=2)),
     "right-predecessor": (
         (mixed, "_reverse_chain", "bisect_left(", "bisect_right("),
         "hm", lambda: mixed.hm_inverse(*mixed.hm((1, 2, 2, 1)))),
