@@ -1,11 +1,14 @@
 """Generic crystal machinery.
 
-A crystal is described operationally by a CrystalModel: raising and
-lowering maps e(i, b) / f(i, b) for the colors i = 1..n-1, a weight
-function, and optionally the odd pair e_bar / f_bar (color "b1").
-Elements may be any hashable values; fmt renders them canonically.  A
-family that is another crystal under a new name sets via = (proxy, lift)
-instead of e/f, and its arrows are the proxy's.
+A crystal is described operationally by a CrystalModel: the arrow row
+arrows(b) = (f_1(b), e_1(b), ..., f_{n-1}(b), e_{n-1}(b)) of the colors
+i = 1..n-1, a weight function, and optionally the odd pair e_bar /
+f_bar (color "b1").  One call gives every even arrow of b, so a model
+can bracket b once for all of them; each e-slot is still computed by
+e_i's own rule, never read off the f-arrows.  Elements may be any
+hashable values; fmt renders them canonically.  A family that is
+another crystal under a new name sets via = (proxy, lift) instead of
+arrows, and its arrows are the proxy's.
 
 component is the only function that calls these operators: it closes
 a seed into a CrystalGraph (BFS with a vertex cap) holding every arrow,
@@ -45,8 +48,13 @@ class CapExceeded(Exception):
 class CrystalModel:
     n: int
     weight: Callable[[Element], tuple[int, ...]]
-    e: Optional[Callable[[int, Element], Optional[Element]]] = None
-    f: Optional[Callable[[int, Element], Optional[Element]]] = None
+    # arrows(b) = (f_1(b), e_1(b), ..., f_{n-1}(b), e_{n-1}(b)), None
+    # where an operator is undefined: the one way to give the even colors
+    arrows: Optional[Callable[[Element], tuple]] = None
+    # never set (a ValueError): fields only because perfbench/spans.py
+    # names them
+    e: None = None
+    f: None = None
     e_bar: Optional[Callable[[Element], Optional[Element]]] = None
     f_bar: Optional[Callable[[Element], Optional[Element]]] = None
     fmt: Callable[[Element], str] = field(default=str)
@@ -56,6 +64,14 @@ class CrystalModel:
     # (proxy, lift) in place of e/f: lift(seed) is the seed's image in the
     # proxy crystal and the map back; the arrows are the proxy's
     via: Optional[tuple["CrystalModel", Callable]] = None
+
+    def __post_init__(self):
+        if self.e is not None or self.f is not None:
+            raise ValueError(f"model {self.name} sets e or f; "
+                             "the even operators are given by arrows")
+        if (self.arrows is None) == (self.via is None):
+            raise ValueError(f"model {self.name} needs exactly one of "
+                             "arrows and via")
 
     @property
     def colors(self) -> list[Color]:
@@ -93,8 +109,9 @@ class CrystalGraph:
     names: list[str]  # model.fmt of each vertex, the sort key
     # keyed by (color, source index) and built in source-index order, the
     # colors of each source 1..n-1 then "b1"; every reader iterates them
-    # in that order.  e_edges computed from model.e / model.e_bar
-    # independently of f_edges, so mispaired arrows show up
+    # in that order.  e_edges come from the e-slots of model.arrows and
+    # from model.e_bar, each computed by e's own rule independently of
+    # f_edges, so mispaired arrows show up
     f_edges: dict[tuple[Color, int], int]
     e_edges: dict[tuple[Color, int], int]
 
@@ -121,9 +138,11 @@ def _cap_from_env() -> int:
 def component(model: CrystalModel, seed: Element) -> CrystalGraph:
     """BFS closure of seed under all e/f arrows, as an explicit graph.
 
-    One pass: every vertex gets an id when it is first reached, and f then
-    e of each color (the odd pair last) runs on it exactly once, its
-    targets kept as ids.  e is applied on its own, never read off the
+    One pass: every vertex gets an id when it is first reached, and its
+    arrow row runs on it exactly once, then f_bar and e_bar; the targets
+    are visited f then e of each color, the odd pair last, and kept as
+    ids.  A row that does not hold 2(n-1) arrows is an InvariantError.
+    Each e-slot is computed by e's own rule, never read off the
     f-arrows, so mispaired operators still fail gl4/q4.  model.validate
     runs on each vertex, the seed included, as it is first reached, so
     every operator output is checked once against the family, alphabet
@@ -166,14 +185,17 @@ def component(model: CrystalModel, seed: Element) -> CrystalGraph:
 
     visit(seed, "seed is not in the family")
 
+    width = 2 * (proxy.n - 1)
     arrows = []
     for b in found:
-        row = []
-        for i in range(1, proxy.n):
-            row += visit(proxy.f(i, b)), visit(proxy.e(i, b))
-        row += (None if proxy.f_bar is None else visit(proxy.f_bar(b)),
-                None if proxy.e_bar is None else visit(proxy.e_bar(b)))
-        arrows.append(tuple(row))
+        row = proxy.arrows(b)
+        if len(row) != width:
+            raise InvariantError(f"{proxy.name} gave {len(row)} arrows at "
+                                 f"{proxy.fmt(b)}, expected {width}")
+        arrows.append((
+            *map(visit, row),
+            None if proxy.f_bar is None else visit(proxy.f_bar(b)),
+            None if proxy.e_bar is None else visit(proxy.e_bar(b))))
     if back is not None and model.f_bar is not None:
         for x, row in zip(mapped, arrows):
             moved = tuple(None if k is None else mapped[k] for k in row[-2:])

@@ -1,7 +1,10 @@
 """Ready-made CrystalModel instances for the five element types.
 
 Words carry the primitive operators and primed tableaux have native
-ones; signed primed tableaux wrap those in sign bookkeeping.  The other
+ones; signed primed tableaux wrap those in sign bookkeeping.  Each of
+these three gives its even operators as one arrow row per element
+(words.arrows, ptops.arrows_pt, ptops.arrows_signed), which brackets
+the element once for every color.  The other
 two families are those crystals under a new name, closed on their proxy
 (CrystalModel.via): decomposition tableaux on words through the reading
 word, and signed unimodal factorizations on signed primed tableaux
@@ -31,8 +34,7 @@ def model_words(n: int) -> CrystalModel:
     """All words over the letters 1..n; odd operators included for n >= 2."""
     return CrystalModel(
         n=n,
-        e=words.e_even,
-        f=words.f_even,
+        arrows=lambda w: words.arrows(w, n),
         weight=lambda w: words.weight(w, n),
         e_bar=words.e_bar1 if n >= 2 else None,
         f_bar=words.f_bar1 if n >= 2 else None,
@@ -68,8 +70,7 @@ def model_pt(n: int) -> CrystalModel:
     """Primed tableaux with unprimed diagonal."""
     return CrystalModel(
         n=n,
-        e=ptops.e_even_pt,
-        f=ptops.f_even_pt,
+        arrows=lambda t: ptops.arrows_pt(t, n),
         weight=lambda t: tb.pt_weight(t, n),
         e_bar=ptops.e_bar1_pt if n >= 2 else None,
         f_bar=ptops.f_bar1_pt if n >= 2 else None,
@@ -83,8 +84,7 @@ def model_spt(m: int) -> CrystalModel:
     """Signed primed tableaux (free diagonal primes), entries up to m."""
     return CrystalModel(
         n=m,
-        e=ptops.e_signed,
-        f=ptops.f_signed,
+        arrows=lambda t: ptops.arrows_signed(t, m),
         weight=lambda t: tb.pt_weight(t, m),
         e_bar=(lambda t: ptops.e_signed("b1", t)) if m >= 2 else None,
         f_bar=(lambda t: ptops.f_signed("b1", t)) if m >= 2 else None,

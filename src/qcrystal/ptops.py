@@ -9,10 +9,14 @@ the east or walk the maximal south/west ribbon of letters i+1 and
 reshape its head; a primed bold letter is handled on the reflected
 strip.  The raising operator undoes that rule around the leftmost
 unbracketed i+1, and the bracketing decides between locally ambiguous
-preimages.  ``transport_op`` conjugates a word operator through mixed
-insertion for an arbitrary recording tableau; it is the oracle the
-explicit rules are checked against.  Signed variants strip the diagonal
-primes, act, and restore them.  No operator checks its output against
+preimages.  ``arrows_pt`` gives f_i and e_i of every color at once:
+t's cells are put in reading order once, and each strip is bracketed
+once for both operators; ``f_even_pt``/``e_even_pt`` run the same rules
+(``_lower``/``_raise``) for one color.  ``transport_op`` conjugates a
+word operator through mixed insertion for an arbitrary recording
+tableau; it is the oracle the explicit rules are checked against.
+Signed variants strip the diagonal primes, act, and restore them
+(``arrows_signed`` once per row).  No operator checks its output against
 the family: engine.component checks each vertex once (model_pt/spt).
 """
 
@@ -149,19 +153,23 @@ def _rw_key(item: tuple[tuple[int, int], int]) -> tuple[int, int, int]:
     return (0, -c, r) if v % 2 else (1, -r, c)
 
 
-def _strip(t: Rows, i: int) -> dict[tuple[int, int], int]:
-    """The cells of t holding i', i, (i+1)' or i+1, in rw(t) order."""
+def _rw_cells(t: Rows) -> list[tuple[tuple[int, int], int]]:
+    """Every (cell, code) item of t, in rw(t) order."""
+    return sorted((((r, c), v) for r, row in enumerate(t)
+                   for c, v in enumerate(row, r)), key=_rw_key)
+
+
+def _strip(cells, i: int) -> dict[tuple[int, int], int]:
+    """The items of cells (in rw order) holding i', i, (i+1)' or i+1."""
     lo, hi = 2 * i - 1, 2 * i + 2
-    cells = [((r, c), v) for r, row in enumerate(t)
-             if not (max(row) < lo or min(row) > hi)
-             for c, v in enumerate(row, r) if lo <= v <= hi]
-    return dict(sorted(cells, key=_rw_key))
+    return {cell: v for cell, v in cells if lo <= v <= hi}
 
 
-def _bold(items, i: int, raising: bool = False) -> Optional[tuple[int, int]]:
-    """Cell of the bold letter among the (cell, code) items of a strip in
-    rw order: the rightmost unbracketed i, or when raising the leftmost
-    unbracketed i+1."""
+def _bold(items, i: int) -> tuple[Optional[tuple[int, int]],
+                                  Optional[tuple[int, int]]]:
+    """The bold letters among the (cell, code) items of a strip in rw
+    order, from one bracketing: the cell of the rightmost unbracketed i
+    (f_i's) and of the leftmost unbracketed i+1 (e_i's), or None."""
     openers: list[tuple[int, int]] = []
     closer = None
     for cell, v in items:
@@ -171,9 +179,7 @@ def _bold(items, i: int, raising: bool = False) -> Optional[tuple[int, int]]:
             openers.pop()
         else:
             closer = cell
-    if raising:
-        return openers[0] if openers else None
-    return closer
+    return closer, openers[0] if openers else None
 
 
 def _reflect(cells: dict[tuple[int, int], int], shift: int
@@ -194,6 +200,54 @@ def _write(t: Rows, cells: dict[tuple[int, int], int]) -> Rows:
     return tuple(rows)
 
 
+def _lower(t: Rows, i: int, strip: dict[tuple[int, int], int],
+           x: Optional[tuple[int, int]]) -> Optional[Rows]:
+    """f_i(t): the ribbon rule around the bold cell x of the strip."""
+    if x is None:
+        return None
+    if strip[x] % 2:
+        conj = _reflect(strip, 1)
+        _ribbon(conj, x[::-1], i, allow_2b=False)
+        return _write(t, _reflect(conj, -1))
+    cells = dict(strip)  # _ribbon rewrites in place; _raise reads strip
+    _ribbon(cells, x, i, allow_2b=True)
+    return _write(t, cells)
+
+
+def _raise(t: Rows, i: int, strip: dict[tuple[int, int], int],
+           y: Optional[tuple[int, int]]) -> Optional[Rows]:
+    """e_i(t): the candidate preimage around the bold cell y whose own
+    bold letter for f_i is the letter it lowered to i (e_even_pt)."""
+    if y is None:
+        return None
+    for changes, lowered in _preimages(i, strip, y):
+        # at most two cells changed primality, so re-sort into rw order
+        if _bold(sorted({**strip, **changes}.items(), key=_rw_key),
+                 i)[0] == lowered:
+            return _write(t, changes)
+    raise InvariantError(
+        "inverse ribbon produced no valid tableau: no candidate")
+
+
+def arrows_pt(t: Rows, n: int) -> tuple[Optional[Rows], ...]:
+    """f_1(t), e_1(t), ..., f_{n-1}(t), e_{n-1}(t), None where undefined.
+
+    t's cells are put in rw order once; each color's strip is filtered
+    from them and bracketed once, and f_i and e_i each apply their own
+    rule (f_even_pt, e_even_pt) around their bold letter.
+
+    >>> [x and tb.fmt_primed(x) for x in arrows_pt(tb.parse_primed("1 2"), 3)]
+    ['2 2', '1 1', '1 3', None]
+    """
+    cells = _rw_cells(t)
+    row: list[Optional[Rows]] = []
+    for i in range(1, n):
+        strip = _strip(cells, i)
+        x, y = _bold(strip.items(), i)
+        row += _lower(t, i, strip, x), _raise(t, i, strip, y)
+    return tuple(row)
+
+
 def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
     """Lowering operator: the ribbon rule around the bold letter, the
     rightmost unbracketed i of rw(t).
@@ -210,17 +264,8 @@ def f_even_pt(i: int, t: Rows) -> Optional[Rows]:
     >>> f_even_pt(1, tb.parse_primed("2")) is None
     True
     """
-    cells = _strip(t, i)
-    x = _bold(cells.items(), i)
-    if x is None:
-        return None
-    if cells[x] % 2:
-        conj = _reflect(cells, 1)
-        _ribbon(conj, x[::-1], i, allow_2b=False)
-        cells = _reflect(conj, -1)
-    else:
-        _ribbon(cells, x, i, allow_2b=True)
-    return _write(t, cells)
+    strip = _strip(_rw_cells(t), i)
+    return _lower(t, i, strip, _bold(strip.items(), i)[0])
 
 
 def _preimages(i: int, strip: dict[tuple[int, int], int], y: tuple[int, int]
@@ -280,17 +325,8 @@ def e_even_pt(i: int, t: Rows) -> Optional[Rows]:
     >>> e_even_pt(1, tb.parse_primed("1 1 1 / 2")) is None
     True
     """
-    strip = _strip(t, i)
-    y = _bold(strip.items(), i, raising=True)
-    if y is None:
-        return None
-    for changes, lowered in _preimages(i, strip, y):
-        # at most two cells changed primality, so re-sort into rw order
-        if _bold(sorted({**strip, **changes}.items(), key=_rw_key),
-                 i) == lowered:
-            return _write(t, changes)
-    raise InvariantError(
-        "inverse ribbon produced no valid tableau: no candidate")
+    strip = _strip(_rw_cells(t), i)
+    return _raise(t, i, strip, _bold(strip.items(), i)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +349,10 @@ def transport_op(t: Rows, q: Rows,
 # ---------------------------------------------------------------------------
 # signed variants
 
-def _signed(op: Callable[[Rows], Optional[Rows]], t: Rows) -> Optional[Rows]:
-    """op on t with its diagonal primes stripped and restored.  A prime
-    that op puts on the diagonal is invisible to model_spt's check."""
-    plain, ptype = tb.dpr(t)
-    out = op(plain)
+def _reprime(out: Optional[Rows], ptype: frozenset[int]) -> Optional[Rows]:
+    """out with the diagonal primes ptype restored; None stays None.  A
+    prime that the operator put on the diagonal would be invisible to
+    model_spt's check, so it is an InvariantError."""
     if out is None:
         return None
     primed = tb.prime_type(out)
@@ -325,6 +360,19 @@ def _signed(op: Callable[[Rows], Optional[Rows]], t: Rows) -> Optional[Rows]:
         raise InvariantError(
             f"operator primed the diagonal entry of row {min(primed)}")
     return tb.pr(out, ptype)
+
+
+def _signed(op: Callable[[Rows], Optional[Rows]], t: Rows) -> Optional[Rows]:
+    """op on t with its diagonal primes stripped and restored."""
+    plain, ptype = tb.dpr(t)
+    return _reprime(op(plain), ptype)
+
+
+def arrows_signed(t: Rows, m: int) -> tuple[Optional[Rows], ...]:
+    """arrows_pt on signed primed tableaux: t's diagonal primes are
+    stripped once and restored on each target."""
+    plain, ptype = tb.dpr(t)
+    return tuple(_reprime(out, ptype) for out in arrows_pt(plain, m))
 
 
 def e_signed(i, t: Rows) -> Optional[Rows]:

@@ -327,27 +327,41 @@ def validate_pt(rows: Rows, n: Optional[int] = None,
     msg = _shape_ok(rows)
     if msg:
         return msg
+    top = 2 * n if n is not None else None
     for r, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if c < 1 or (n is not None and c > 2 * n):
-                return f"entry {letter_str(c)} at {(r + 1, r + j + 1)} out of range"
+        if min(row) < 1 or (top is not None and max(row) > top):
+            j, c = next((j, c) for j, c in enumerate(row)
+                        if c < 1 or (top is not None and c > top))
+            return f"entry {letter_str(c)} at {(r + 1, r + j + 1)} out of range"
     # codes are primed iff odd, and a primed (unprimed) letter repeats iff
-    # its code does
+    # its code does; in a weakly increasing line that is an equal pair of
+    # neighbours
     for r, row in enumerate(rows):
         if diagonal_unprimed and row[0] % 2:
             return f"primed diagonal entry {letter_str(row[0])} in row {r + 1}"
-        if list(row) != sorted(row):
-            return f"row {r + 1} not weakly increasing"
-        primed = [c for c in row if c % 2]
-        if len(primed) != len(set(primed)):
+        repeat = False
+        for a, b in zip(row, row[1:]):
+            if a > b:
+                return f"row {r + 1} not weakly increasing"
+            repeat = repeat or (a == b and a % 2)
+        if repeat:
             return f"row {r + 1} repeats a primed letter"
-    for c, col in enumerate(_columns(rows)):
-        if col != sorted(col):
-            return f"column {c + 1} not weakly increasing"
-        unprimed = [v for v in col if not v % 2]
-        if len(unprimed) != len(set(unprimed)):
-            return f"column {c + 1} repeats an unprimed letter"
-    return None
+    # vertical neighbours: rows[r][j + 1] sits above rows[r + 1][j], in
+    # column r + j + 2; the lowest failing column is reported, a descent
+    # in it before a repeat
+    worst = None
+    for r in range(len(rows) - 1):
+        for j, (a, b) in enumerate(zip(rows[r][1:], rows[r + 1])):
+            if a > b or (a == b and not a % 2):
+                if worst is None or (r + j + 2, a <= b) < worst:
+                    worst = (r + j + 2, a <= b)
+                break
+    if worst is None:
+        return None
+    col, repeat = worst
+    if repeat:
+        return f"column {col} repeats an unprimed letter"
+    return f"column {col} not weakly increasing"
 
 
 def validate_st(rows: Rows) -> Optional[str]:

@@ -2,9 +2,13 @@
 
 A word b_1...b_m is the tensor product of its single-letter factors,
 read with the anti-Kashiwara convention (left factor is the "large"
-one).  The even operators below use the standard bracketing shortcut;
-the odd operators use the leftmost-letter rule.  The tensor-product
-definition itself lives in the test suite as an independent oracle.
+one).  The even operators below use the standard bracketing shortcut,
+every color in one scan of the word: ``arrows`` gives all of them at
+once (engine.component calls it once per vertex), and ``e_even``/
+``f_even`` are one color of the same scan.  ``unbracketed`` is the
+stack form of one color's bracketing, an oracle for the scan.  The odd
+operators use the leftmost-letter rule.  The tensor-product definition
+itself lives in the test suite as an independent oracle.
 
 A word is a tuple of int letters; operators answer with a tuple.  The
 digit text of a word ("321121") is parsed and printed only by
@@ -68,14 +72,55 @@ def unbracketed(i: int, letters: Sequence[int]) -> tuple[list[int], list[int]]:
     return stack, closers
 
 
+def _bold(w: Sequence[int], n: int) -> tuple[list, list]:
+    """One left-to-right scan for every color 1..n-1 at once.
+
+    Returns (first, last): first[i] is the position of the leftmost
+    unbracketed i+1 and last[i] that of the rightmost unbracketed i, or
+    None.  A letter a opens a pair of color a-1 and closes one of color
+    a; the still-open letters i+1 of a color form a stack, of which only
+    the depth and the bottom matter.  Letters outside 1..n take no part.
+    """
+    depth = [0] * (n + 1)  # open letters i+1, by color i
+    first: list = [None] * (n + 1)
+    last: list = [None] * (n + 1)
+    for p, a in enumerate(w):
+        if not 0 < a <= n:
+            continue
+        if a > 1:
+            if not depth[a - 1]:
+                first[a - 1] = p
+            depth[a - 1] += 1
+        if depth[a]:
+            depth[a] -= 1
+        else:
+            last[a] = p
+    return [p if d else None for p, d in zip(first, depth)], last
+
+
+def _put(w: Word, p: Optional[int], a: int) -> Optional[Word]:
+    """w with the letter at position p set to a; None if p is None."""
+    return None if p is None else w[:p] + (a,) + w[p + 1:]
+
+
+def arrows(w: Word, n: int) -> tuple[Optional[Word], ...]:
+    """f_1(w), e_1(w), ..., f_{n-1}(w), e_{n-1}(w) from one scan (_bold):
+    f_i turns the rightmost unbracketed i into i+1, e_i the leftmost
+    unbracketed i+1 into i.
+
+    >>> arrows((1, 2, 1), 3)
+    ((2, 2, 1), None, (1, 3, 1), None)
+    """
+    first, last = _bold(w, n)
+    row: list[Optional[Word]] = []
+    for i in range(1, n):
+        row += _put(w, last[i], i + 1), _put(w, first[i], i)
+    return tuple(row)
+
+
 def e_even(i: int, w: Word) -> Optional[Word]:
     """Raising operator for color i: leftmost unbracketed i+1 becomes i."""
-    letters = list(w)
-    openers, _ = unbracketed(i, letters)
-    if not openers:
-        return None
-    letters[openers[0]] = i
-    return tuple(letters)
+    return _put(tuple(w), _bold(w, i + 1)[0][i], i)
 
 
 def f_even(i: int, w: Word) -> Optional[Word]:
@@ -86,12 +131,7 @@ def f_even(i: int, w: Word) -> Optional[Word]:
     >>> f_even(1, (2, 1)) is None
     True
     """
-    letters = list(w)
-    _, closers = unbracketed(i, letters)
-    if not closers:
-        return None
-    letters[closers[-1]] = i + 1
-    return tuple(letters)
+    return _put(tuple(w), _bold(w, i + 1)[1][i], i + 1)
 
 
 def e_bar1(w: Word) -> Optional[Word]:

@@ -213,6 +213,21 @@ def rw_pt_cells(rows) -> list[tuple[int, bool, tuple[int, int]]]:
     return out
 
 
+def with_swaps(family):
+    """Each tableau of family, followed by every tableau with one pair of
+    neighbouring cells swapped: east neighbours in a row, and a cell with
+    the one below it (row r + 1 starts a column further right)."""
+    for rows in family:
+        yield rows
+        for r, row in enumerate(rows):
+            for j in range(len(row)):
+                for r2, j2 in ((r, j + 1), (r + 1, j - 1)):
+                    if r2 < len(rows) and 0 <= j2 < len(rows[r2]):
+                        grid = [list(x) for x in rows]
+                        grid[r][j], grid[r2][j2] = grid[r2][j2], grid[r][j]
+                        yield tuple(map(tuple, grid))
+
+
 def with_neighbours(family, lo: int, hi: int):
     """Each tableau of family, followed by every tableau that differs from
     it in one cell by one letter, staying within lo..hi."""

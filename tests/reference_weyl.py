@@ -2,12 +2,17 @@
 
 The library reads the Weyl group action S_i, the odd colors i-bar and
 the highest/lowest vertex off the arrows of a closed ``CrystalGraph``.
-These versions apply ``model.e``/``f``/``e_bar``/``f_bar`` to elements
-instead, as the definitions say, and are kept as oracles for
+These versions apply the model's operators to elements instead, as the
+definitions say (the even ones one color at a time, read off
+``model.arrows`` by ``reference_closure.f_of``/``e_of``), and are kept
+as oracles for
 ``qcrystal.engine.find_highest``/``find_lowest`` and ``engine._weyl``.
 """
 
+from functools import partial
 from typing import Callable, Optional, Sequence
+
+from reference_closure import e_of, f_of
 
 from qcrystal.engine import (CrystalModel, Element, pairing, w0_word,
                              w_word)
@@ -29,19 +34,19 @@ def _chain_length(op: Callable, name: str, i: int, b: Element) -> int:
 
 def eps(model: CrystalModel, i: int, b: Element) -> int:
     """Number of times e(i, .) applies before vanishing."""
-    return _chain_length(model.e, "e", i, b)
+    return _chain_length(partial(e_of, model), "e", i, b)
 
 
 def phi(model: CrystalModel, i: int, b: Element) -> int:
-    return _chain_length(model.f, "f", i, b)
+    return _chain_length(partial(f_of, model), "f", i, b)
 
 
 def weyl_s(model: CrystalModel, i: int, b: Element) -> Element:
     """Weyl reflection S_i on crystal elements."""
     k = pairing(model, i, b)
-    op = model.f if k >= 0 else model.e
+    op = f_of if k >= 0 else e_of
     for _ in range(abs(k)):
-        b = op(i, b)
+        b = op(model, i, b)
         if b is None:
             raise RuntimeError(f"S_{i} ran off the crystal")
     return b
@@ -81,7 +86,7 @@ def is_q_highest(model: CrystalModel, b: Element) -> bool:
     """Killed by every even raising operator and every odd one (the odd
     ones only where the model has them)."""
     colors = range(1, model.n)
-    if any(model.e(i, b) is not None for i in colors):
+    if any(e_of(model, i, b) is not None for i in colors):
         return False
     return model.e_bar is None or all(
         odd_e_bar(model, i, b) is None for i in colors)

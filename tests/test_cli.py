@@ -285,8 +285,7 @@ def test_weyl_walk_off_the_crystal_is_a_highlow_witness(capsys,
 
     def planted(n):
         return dataclasses.replace(
-            real(n), e=lambda i, t: None if i == 1 else ptops.e_even_pt(i, t),
-            f=lambda i, t: None if i == 1 else ptops.f_even_pt(i, t))
+            real(n), arrows=lambda t: (None, None) + ptops.arrows_pt(t, n)[2:])
 
     monkeypatch.setattr(models, "model_pt", planted)
     code, out, err = run(capsys, "verify", "--suite", "highlow",
@@ -708,20 +707,25 @@ def _set_first_letter(word, letter):
     return None if word is None else (letter,) + word[1:]
 
 
+def _each(fault):
+    """An arrows kernel (b, n) with fault applied to every target."""
+    return lambda op: lambda b, n: tuple(fault(x) for x in op(b, n))
+
+
 # a model with alphabet 1..3, its options, and an operator fault that
 # writes the letter 4 into every output, with the family check it then fails
 _OUT_OF_ALPHABET = {
-    "pt": (["--n", "3", "--shape", "2"], ptops, "f_even_pt",
-           lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
+    "pt": (["--n", "3", "--shape", "2"], ptops, "arrows_pt",
+           _each(lambda t: _set_first_row_end(t, 8)),
            "entry 4 at (1, 2) out of range"),
-    "spt": (["--m", "3", "--shape", "2"], ptops, "f_signed",
-            lambda op: lambda i, t: _set_first_row_end(op(i, t), 8),
+    "spt": (["--m", "3", "--shape", "2"], ptops, "arrows_signed",
+            _each(lambda t: _set_first_row_end(t, 8)),
             "entry 4 at (1, 2) out of range"),
-    "ssdt": (["--n", "3", "--shape", "2"], words, "f_even",
-             lambda op: lambda i, w: _set_first_letter(op(i, w), 4),
+    "ssdt": (["--n", "3", "--shape", "2"], words, "arrows",
+             _each(lambda w: _set_first_letter(w, 4)),
              "row 1 letter out of range 1..3"),
-    "words": (["--n", "3", "--seed", "11"], words, "f_even",
-              lambda op: lambda i, w: _set_first_letter(op(i, w), 4),
+    "words": (["--n", "3", "--seed", "11"], words, "arrows",
+              _each(lambda w: _set_first_letter(w, 4)),
               "letter 4 outside alphabet 1..3"),
 }
 

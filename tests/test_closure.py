@@ -115,7 +115,7 @@ def test_mispaired_e_still_fails_gl4():
     def e(i, w):
         return None if w == broken else words.e_even(i, w)
 
-    model = dataclasses.replace(base, e=e)
+    model = dataclasses.replace(base, arrows=ref.arrow_row(2, words.f_even, e))
     g = engine.component(model, (1, 1))
     assert_same_graph(g, ref.component(model, (1, 1)))
     gl4 = [f for f in engine.check_gl_axioms(g)["failures"]

@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,8 +16,7 @@ from qcrystal.typeb import parse_word as W
 def words_model(n):
     return engine.CrystalModel(
         n=n,
-        e=words.e_even,
-        f=words.f_even,
+        arrows=lambda w: words.arrows(w, n),
         weight=lambda w: words.weight(w, n),
         e_bar=words.e_bar1,
         f_bar=words.f_bar1,
@@ -231,8 +234,7 @@ def test_broken_weight_model_fails_axioms():
     base = words_model(2)
     broken = engine.CrystalModel(
         n=2,
-        e=base.e,
-        f=base.f,
+        arrows=base.arrows,
         weight=lambda w: tuple(reversed(words.weight(w, 2))),
         e_bar=base.e_bar,
         f_bar=base.f_bar,
@@ -280,14 +282,55 @@ def test_to_json():
     assert obj["weights"] == {"1": [1, 0], "2": [0, 1]}
 
 
+@pytest.mark.parametrize("ops", [
+    {"e": words.e_even}, {"f": words.f_even},
+    {"e": words.e_even, "f": words.f_even, "arrows": None}, {"arrows": None},
+    {"via": (words_model(2), lambda b: (b, None))},
+], ids=["e", "f", "e-and-f", "nothing", "arrows-and-via"])
+def test_model_gives_even_operators_one_way(ops):
+    # e and f are never read, and a via model is closed on its proxy's
+    # arrows: a model must give exactly one of arrows and via
+    with pytest.raises(ValueError, match="^model words "):
+        dataclasses.replace(words_model(2), **ops)
+
+
+def test_short_arrow_row_is_an_invariant_error():
+    # a row one arrow short would lose e_2's arrows in a zip
+    model = dataclasses.replace(words_model(3),
+                                arrows=lambda w: words.arrows(w, 3)[:-1])
+    with pytest.raises(engine.InvariantError) as exc:
+        engine.component(model, W("1"))
+    assert str(exc.value) == "words gave 3 arrows at 1, expected 4"
+
+
+def test_arrow_row_check_survives_optimize_flag():
+    # under python -O every assert is stripped; the row check is not
+    # one, and the CLI reports it as an internal error, exit 4
+    script = (
+        "import sys\n"
+        "from qcrystal import cli, words\n"
+        "real = words.arrows\n"
+        "words.arrows = lambda w, n: real(w, n) + (None,)\n"
+        "sys.exit(cli.main(['graph', '--model', 'words', '--n', '3',\n"
+        "                   '--seed', '12']))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == \
+        "internal error: words3 gave 5 arrows at 12, expected 4\n"
+
+
 def test_find_highest_unique_failure():
     # a single flat vertex is its own highest and lowest; two disjoint
     # highest vertices cannot arise in one component, so the error path
     # runs on a hand-built graph of two flat vertices
     model = engine.CrystalModel(
         n=2,
-        e=lambda i, b: None,
-        f=lambda i, b: None,
+        arrows=lambda b: (None, None),
         weight=lambda b: (0, 0),
         e_bar=lambda b: None,
         f_bar=lambda b: None,

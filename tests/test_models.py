@@ -59,8 +59,8 @@ def test_ssdt_extremes_are_extremal():
     lo = models.lowest_ssdt(3, (2, 1))
     assert ref.is_q_highest(model, hi)
     for i in range(1, 3):
-        assert model.e(i, hi) is None
-        assert model.f(i, lo) is None
+        assert ref_closure.e_of(model, i, hi) is None
+        assert ref_closure.f_of(model, i, lo) is None
     assert model.e_bar(hi) is None
     assert model.f_bar(lo) is None
     assert model.weight(hi) == (2, 1, 0)
@@ -244,9 +244,10 @@ def test_component_validates_each_distinct_output_once(
         if model.via is not None:
             proxy, lift = model.via
             _, back = lift(seed)
-        proxy = dataclasses.replace(proxy, **{
-            op: _recording(getattr(proxy, op), outputs)
-            for op in ("e", "f", "e_bar", "f_bar")})
+        proxy = dataclasses.replace(
+            proxy, arrows=_recording_row(proxy.arrows, outputs), **{
+                op: _recording(getattr(proxy, op), outputs)
+                for op in ("e_bar", "f_bar")})
         model = (proxy if back is None
                  else dataclasses.replace(model, via=(proxy, lift)))
         g = engine.component(model, seed)
@@ -255,6 +256,14 @@ def test_component_validates_each_distinct_output_once(
         assert len(g) == size
         assert outputs == set(g.vertices)
         assert sorted(checked) == sorted(outputs)
+
+
+def _recording_row(arrows, outputs):
+    def recorded(b):
+        row = arrows(b)
+        outputs.update(x for x in row if x is not None)
+        return row
+    return recorded
 
 
 def _recording(op, outputs):
@@ -269,13 +278,13 @@ def _recording(op, outputs):
 def test_ssdt_output_that_fails_is_never_cached(monkeypatch):
     # the operators no longer check; the closure does, on every run
     hi = models.highest_ssdt(3, (2, 1))
-    bad = ref_closure.model_ssdt(3).f(1, hi)
+    bad = ref_closure.f_of(ref_closure.model_ssdt(3), 1, hi)
     real = tb.validate_ssdt
     monkeypatch.setattr(
         tb, "validate_ssdt",
         lambda rows, n=None: "planted fault" if rows == bad else real(rows, n))
     model = models.model_ssdt(3)
-    assert ref_closure.model_ssdt(3).f(1, hi) == bad
+    assert ref_closure.f_of(ref_closure.model_ssdt(3), 1, hi) == bad
     for m in (model, model, models.model_ssdt(3)):
         with pytest.raises(tb.InvariantError,
                            match="operator left the family: planted fault"):
@@ -328,15 +337,18 @@ def test_tableau_models_validate_their_alphabet(builder, text, msg):
 
 
 def test_out_of_alphabet_operator_fails_verify_axioms(monkeypatch):
-    # an f_even_pt that writes the letter 4 at n = 3 stops the closure
-    # with the family check, not with an IndexError from the weight
-    real = ptops.f_even_pt
+    # an f_i of arrows_pt that writes the letter 4 at n = 3 stops the
+    # closure with the family check, not with an IndexError from the weight
+    real = ptops.arrows_pt
 
-    def faulty(i, t):
-        out = real(i, t)
-        return None if out is None else (out[0][:-1] + (8,),) + out[1:]
+    def faulty(t, n):
+        row = list(real(t, n))
+        for k in range(0, len(row), 2):
+            out = row[k]
+            row[k] = None if out is None else (out[0][:-1] + (8,),) + out[1:]
+        return tuple(row)
 
-    monkeypatch.setattr(ptops, "f_even_pt", faulty)
+    monkeypatch.setattr(ptops, "arrows_pt", faulty)
     with pytest.raises(tb.InvariantError,
                        match="^operator left the family: entry 4 at "):
         verify.verify_axioms(3, 2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_closure as ref_closure
 import reference_ptops as ref
 from qcrystal import cli, engine, mixed, models, ptops, typeb, verify, words
 from qcrystal import tableaux as tb
@@ -234,6 +235,27 @@ def test_signed_ops_match_reference_exhaustively():
     assert cases == 2864
 
 
+def test_arrow_rows_match_reference():
+    # every arrows_pt and arrows_signed row with entries <= n <= 4 and
+    # |shape| <= 6 against the per-color oracles, slot by slot
+    rows = 0
+    for n in range(1, 5):
+        pt = ref_closure.arrow_row(n, ref.f_even_pt, ref.e_even_pt)
+        spt = ref_closure.arrow_row(
+            n, lambda i, t: ptops._signed(lambda s: ref.f_even_pt(i, s), t),
+            lambda i, t: ptops._signed(lambda s: ref.e_even_pt(i, s), t))
+        for shape in tb.strict_partitions(6):
+            if len(shape) > n:
+                continue
+            for t in tb.enumerate_pt(n, shape):
+                assert ptops.arrows_pt(t, n) == pt(t), t
+                rows += 1
+            for t in tb.enumerate_pt(n, shape, diagonal_unprimed=False):
+                assert ptops.arrows_signed(t, n) == spt(t), t
+                rows += 1
+    assert rows == 10838
+
+
 @st.composite
 def arbitrary_rows(draw):
     """Any codes 1..10 (letters 1'..5) on a strict shape of size <= 8,
@@ -279,6 +301,17 @@ def test_pt_closure_reads_only_strips(monkeypatch, capsys):
                      "--shape", "5,3,1"]) == 0
     assert capsys.readouterr().out.count(" -> ") == len(g.f_edges)
     assert len(calls) == 1281
+
+
+def test_pt_closure_orders_each_vertex_once(monkeypatch):
+    # the closure puts each vertex's cells in rw order once and brackets
+    # every color's strip off that one ordering: 1,280 orderings, where
+    # one strip per vertex, color and operator took 7,680
+    real, calls = ptops._rw_cells, []
+    monkeypatch.setattr(ptops, "_rw_cells",
+                        lambda t: calls.append(t) or real(t))
+    g = engine.component(models.model_pt(4), ptops.highest_pt(4, (5, 3, 1)))
+    assert len(calls) == len(set(calls)) == len(g) == 1280
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +492,13 @@ def test_signed_rejects_an_inner_primed_diagonal(monkeypatch, ptype):
     with pytest.raises(tb.InvariantError,
                        match="^operator primed the diagonal entry of row 1$"):
         ptops.f_signed("b1", t)
+    # the closure's row restores the primes once per target, and checks
+    real = ptops.arrows_pt
+    monkeypatch.setattr(ptops, "arrows_pt", lambda s, m: tuple(
+        None if x is None else tb.pr(x, {1}) for x in real(s, m)))
+    with pytest.raises(tb.InvariantError,
+                       match="^operator primed the diagonal entry of row 1$"):
+        ptops.arrows_signed(t, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -233,15 +233,23 @@ def test_validate_st():
 
 
 def test_validate_pt_matches_reference():
-    # every PT with entries at most 4 and |shape| <= 7, and every one-cell
-    # change to a neighbouring code, including the out-of-range 0 and 4'
+    # every PT with entries at most 4 and |shape| <= 7, every one-cell
+    # change to a neighbouring code, including the out-of-range 0 and 4',
+    # and every swap of two neighbouring cells.  Two failures in one row,
+    # or in two row pairs, need two changes: a descent is reported before
+    # a repeat, in a row or a column, and the lowest column first
     pts = [t for shape in tb.strict_partitions(7)
            for t in tb.enumerate_pt(4, shape)]
-    for rows in ref.with_neighbours(pts, 0, 9):
+    crossed = [tb.parse_primed("1 2' 2' 3 2"),
+               tb.parse_primed("1 1 1 3 / 2 2 2 / 2"),
+               tb.parse_primed("1 1 2 / 2 2 / 1")]
+    for rows in itertools.chain(ref.with_neighbours(pts, 0, 9),
+                                ref.with_swaps(pts), crossed):
         assert tb.validate_pt(rows, n=4) == ref.validate_pt(rows, n=4)
     spts = [t for shape in tb.strict_partitions(6)
             for t in tb.enumerate_pt(3, shape, diagonal_unprimed=False)]
-    for rows in ref.with_neighbours(spts, 0, 7):
+    for rows in itertools.chain(ref.with_neighbours(spts, 0, 7),
+                                ref.with_swaps(spts)):
         assert tb.validate_pt(rows, diagonal_unprimed=False) \
             == ref.validate_pt(rows, diagonal_unprimed=False)
 

@@ -17,7 +17,7 @@ def memoized(model):
     """model with each operator cached: the reference walks the same
     strings many times, and the factorization operators are slow."""
     ops = {name: functools.cache(getattr(model, name))
-           for name in ("e", "f", "e_bar", "f_bar")
+           for name in ("arrows", "e_bar", "f_bar")
            if getattr(model, name) is not None}
     return dataclasses.replace(model, **ops)
 

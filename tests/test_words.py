@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_closure as ref_closure
 from qcrystal import words
 from qcrystal.typeb import parse_word as W
 
@@ -97,6 +98,31 @@ def test_bracketing_matches_literal_pair_removal():
     for w in all_words(3, 5):
         for i in (1, 2):
             assert words.unbracketed(i, w) == literal(i, w), (i, w)
+
+
+def _by_stack(raising):
+    """e_i (raising) or f_i off words.unbracketed, the stack bracketing."""
+    def op(i, w):
+        openers, closers = words.unbracketed(i, w)
+        picks = openers[:1] if raising else closers[-1:]
+        if not picks:
+            return None
+        p = picks[0]
+        return w[:p] + (i if raising else i + 1,) + w[p + 1:]
+    return op
+
+
+def test_arrows_match_stack_bracketing():
+    # every word over 1..n, n <= 4, of length <= 5: the one-scan row
+    # against the stack bracketing of each color, slot by slot
+    rows = 0
+    for n in range(1, 5):
+        oracle = ref_closure.arrow_row(n, _by_stack(False), _by_stack(True))
+        for m in range(6):
+            for w in all_words(n, m):
+                assert words.arrows(w, n) == oracle(w), w
+                rows += 1
+    assert rows == 6 + 63 + 364 + 1365
 
 
 def test_odd_operators_mutually_inverse():
