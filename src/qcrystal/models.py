@@ -45,10 +45,14 @@ def model_words(n: int) -> CrystalModel:
 
 
 def _ssdt_lift(t: Rows):
-    """The reading word of t, and the cut of a word back into t's shape."""
+    """The reading word of t, and the cut of a word back into t's shape:
+    row r is one reversed slice of the word, fixed once from the shape."""
     ends = list(itertools.accumulate(map(len, t)))
-    return tb.rw_ssdt(t), lambda w: tuple(
-        tuple(reversed(w[a:b])) for a, b in zip([0] + ends, ends))
+    # w[b-1:a-1:-1] is w[a:b] reversed, but a stop of -1 would wrap to the
+    # end: the first row stops at None, and an empty row is empty
+    cuts = [slice(b - 1, a - 1 if a else None, -1) if a < b else slice(0)
+            for a, b in zip([0] + ends, ends)]
+    return tb.rw_ssdt(t), lambda w: tuple([w[s] for s in cuts])
 
 
 def model_ssdt(n: int) -> CrystalModel:

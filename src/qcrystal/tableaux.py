@@ -14,6 +14,7 @@ coordinates in messages and public insertion results are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
@@ -171,7 +172,18 @@ def fmt_primed(rows: Rows) -> str:
 
 
 def fmt_plain(rows: Rows) -> str:
-    return " / ".join(" ".join(str(v) for v in row) for row in rows)
+    """Rows of plain letters as text: "3 2 / 1".
+
+    Each row's text is memoised (_plain_row), keyed on the row tuple; the
+    text depends on the row alone, and the memo holds one string per
+    distinct row the process has formatted.
+    """
+    return " / ".join(map(_plain_row, rows))
+
+
+@functools.cache
+def _plain_row(row: tuple[int, ...]) -> str:
+    return " ".join(map(str, row))
 
 
 def parse_primed(text: str) -> Rows:
@@ -384,21 +396,39 @@ def validate_st(rows: Rows) -> Optional[str]:
 
 def validate_ssdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
     """Semistandard decomposition tableau: hook rows, each of maximal
-    hook-subword length within (next row)(this row)."""
+    hook-subword length within (next row)(this row).
+
+    Checks the shape, then each row top-down (letters in 1..n, then
+    hook), then each pair of rows top-down, and names the first fault.
+    The row and pair checks are pure and memoised (_ssdt_row_fault,
+    _ssdt_pair_ok), keyed on the row tuples, so a closure pays for each
+    distinct row and pair once; the memos hold one entry per distinct
+    (row, n) and (upper, lower) the process has checked.
+    """
     msg = _shape_ok(rows)
     if msg:
         return msg
     for r, row in enumerate(rows):
-        if n is not None and (min(row) < 1 or max(row) > n):
-            return f"row {r + 1} letter out of range 1..{n}"
-        if not is_hook(row):
-            return f"row {r + 1} is not a hook word"
+        fault = _ssdt_row_fault(row, n)
+        if fault:
+            return f"row {r + 1} {fault}"
     for r in range(len(rows) - 1):
         if not _ssdt_pair_ok(rows[r], rows[r + 1]):
             return (
                 f"row {r + 1} is not a maximal hook subword in rows "
                 f"{r + 2},{r + 1}"
             )
+    return None
+
+
+@functools.cache
+def _ssdt_row_fault(row: tuple[int, ...], n: Optional[int]) -> Optional[str]:
+    """What makes one nonempty row unfit for an SSDT over 1..n (any
+    letters if n is None), or None; validate_ssdt prefixes its number."""
+    if n is not None and (min(row) < 1 or max(row) > n):
+        return f"letter out of range 1..{n}"
+    if not is_hook(row):
+        return "is not a hook word"
     return None
 
 
@@ -579,6 +609,12 @@ def enumerate_ssdt(n: int, shape: Sequence[int]) -> list[Rows]:
     return results
 
 
+@functools.cache
 def _ssdt_pair_ok(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    """The maximality condition coupling two consecutive rows."""
+    """The maximality condition coupling two consecutive rows.
+
+    Pure and memoised on the two row tuples: the memo holds one entry per
+    distinct (upper, lower) pair that validate_ssdt or enumerate_ssdt has
+    checked in this process.
+    """
     return longest_hook_subword_len(lower + upper) == len(upper)

@@ -140,13 +140,11 @@ def e_bar1(w: Word) -> Optional[Word]:
     >>> e_bar1((3, 2, 1, 1, 2, 1))
     (3, 1, 1, 1, 2, 1)
     """
-    letters = list(w)
-    for p, a in enumerate(letters):
+    for p, a in enumerate(w):
         if a == 1:
             return None
         if a == 2:
-            letters[p] = 1
-            return tuple(letters)
+            return _put(tuple(w), p, 1)
     return None
 
 
@@ -158,11 +156,9 @@ def f_bar1(w: Word) -> Optional[Word]:
     >>> f_bar1((2, 1)) is None
     True
     """
-    letters = list(w)
-    for p, a in enumerate(letters):
+    for p, a in enumerate(w):
         if a == 2:
             return None
         if a == 1:
-            letters[p] = 2
-            return tuple(letters)
+            return _put(tuple(w), p, 2)
     return None

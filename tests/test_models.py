@@ -189,6 +189,12 @@ def test_seed_outside_the_family_is_named_as_the_seed():
     with pytest.raises(tb.InvariantError) as exc:
         engine.component(models.model_pt(3), seed)
     assert str(exc.value) == f"seed is not in the family: {msg}"
+    # a proxied seed is cut back before it is checked: an empty first row
+    # must come back empty, not as the whole reversed word
+    with pytest.raises(tb.InvariantError) as exc:
+        engine.component(models.model_ssdt(3), ((), (1,)))
+    assert str(exc.value) == \
+        "seed is not in the family: empty row in shape (0, 1)"
 
 
 def test_invariant_check_survives_optimize_flag():
