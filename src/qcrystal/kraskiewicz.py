@@ -50,36 +50,20 @@ class InsertionError(ValueError):
 # decomposition tableaux
 
 def rw_sdt(rows: Rows) -> tuple[int, ...]:
-    """Reading word: bottom row first, each row left to right."""
-    out = []
-    for row in reversed(rows):
-        out.extend(row)
-    return tuple(out)
+    """Reading word: bottom row first, each row left to right, which is
+    tableaux.rw_ssdt reversed."""
+    return tb.rw_ssdt(rows)[::-1]
 
 
 def validate_sdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
-    """First violation of the standard decomposition tableau rules."""
-    shape = tb.shape_of(rows)
-    if 0 in shape:
-        return "empty row"
-    msg = tb.strictness_violation(shape)
-    if msg is not None:
-        return msg
-    for r, row in enumerate(rows):
-        if n is not None and any(not 0 <= a < n for a in row):
-            return f"row {r + 1} letter out of range 0..{n - 1}"
-        if not tb.is_unimodal(row):
-            return f"row {r + 1} is not unimodal"
-    for r in range(len(rows) - 1):
-        cat = rows[r + 1] + rows[r]
-        if tb.longest_unimodal_subword_len(cat) != len(rows[r]):
-            return (
-                f"row {r + 1} is not a maximal unimodal subword in rows "
-                f"{r + 2},{r + 1}"
-            )
-    if not typeb.is_reduced(rw_sdt(rows)):
+    """First violation of the standard decomposition tableau rules: the
+    strict case of tableaux._dt_fault, with unimodal rows over 0..n-1,
+    then a reduced reading word."""
+    msg = tb._dt_fault(rows, 0, None if n is None else n - 1,
+                       strict_dec=True)
+    if msg is None and not typeb.is_reduced(rw_sdt(rows)):
         return "reading word is not reduced"
-    return None
+    return msg
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ store their letters directly.
 Human-facing text renders rows separated by " / " with entries
 space-separated and primes as apostrophes: "1 2' 2 / 2 3'".  Cell
 coordinates in messages and public insertion results are 1-based.
+
+The enumerators share one fill (_fill), and SSDTs and the insertion
+tableaux of kraskiewicz one decomposition-tableau check (_dt_fault).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -219,21 +222,29 @@ def parse_plain(text: str) -> Rows:
 # ---------------------------------------------------------------------------
 # hook and unimodal words
 
+def _vee_ends(w: Sequence[int], strict_dec: bool) -> tuple[int, int]:
+    """(k, m): w[:k] is w's longest decreasing prefix (strictly, or weakly
+    if not strict_dec; k >= 1) and w[k - 1:m] the strictly increasing run
+    after it, so w is a vee (hook or unimodal word) iff m >= len(w)."""
+    slack = 0 if strict_dec else 1  # integer letters: b <= a iff b < a + 1
+    m, k = len(w), 1
+    while k < m and w[k] < w[k - 1] + slack:
+        k += 1
+    end = k
+    while end < m and w[end] > w[end - 1]:
+        end += 1
+    return k, end
+
+
 def is_hook(w: Sequence[int]) -> bool:
     """Weakly decreasing then strictly increasing; empty words rejected.
 
     >>> is_hook((3, 2, 1, 2)), is_hook((3, 2, 2)), is_hook((1, 2, 2))
     (True, True, False)
     """
-    m = len(w)
-    if not m:
+    if not w:
         raise ValueError("is_hook of an empty word")
-    k = 1
-    while k < m and w[k] <= w[k - 1]:
-        k += 1
-    while k < m and w[k] > w[k - 1]:
-        k += 1
-    return k == m
+    return _vee_ends(w, False)[1] == len(w)
 
 
 def unimodal_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -243,9 +254,7 @@ def unimodal_split(w: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ((2, 0), (1, 3))
     """
     w = tuple(w)
-    k = 1
-    while k < len(w) and w[k] < w[k - 1]:
-        k += 1
+    k = _vee_ends(w, True)[0]
     return w[:k], w[k:]
 
 
@@ -257,13 +266,7 @@ def is_unimodal(w: Sequence[int]) -> bool:
     >>> is_unimodal((1, 1))
     False
     """
-    m = len(w)
-    k = 1
-    while k < m and w[k] < w[k - 1]:
-        k += 1
-    while k < m and w[k] > w[k - 1]:
-        k += 1
-    return k >= m
+    return _vee_ends(w, True)[1] >= len(w)
 
 
 def longest_hook_subword_len(w: Sequence[int]) -> int:
@@ -395,41 +398,58 @@ def validate_st(rows: Rows) -> Optional[str]:
 
 
 def validate_ssdt(rows: Rows, n: Optional[int] = None) -> Optional[str]:
-    """Semistandard decomposition tableau: hook rows, each of maximal
-    hook-subword length within (next row)(this row).
+    """Semistandard decomposition tableau: hook rows over 1..n, each of
+    maximal hook-subword length within (next row)(this row)."""
+    return _dt_fault(rows, 1, n, strict_dec=False)
 
-    Checks the shape, then each row top-down (letters in 1..n, then
-    hook), then each pair of rows top-down, and names the first fault.
-    The row and pair checks are pure and memoised (_ssdt_row_fault,
-    _ssdt_pair_ok), keyed on the row tuples, so a closure pays for each
-    distinct row and pair once; the memos hold one entry per distinct
-    (row, n) and (upper, lower) the process has checked.
-    """
-    msg = _shape_ok(rows)
+
+def _dt_fault(rows: Rows, lo: int, hi: Optional[int],
+              strict_dec: bool) -> Optional[str]:
+    """First fault of a decomposition tableau over lo..hi (any letters if
+    hi is None), or None: its rows are vees, decreasing (strictly if
+    strict_dec) then strictly increasing, each of maximal vee-subword
+    length within (next row)(this row).  SSDTs are the weak case over
+    1..n, kraskiewicz.validate_sdt the strict one over 0..n-1.
+
+    Checks the shape, each row top-down (letters, then vee), then each
+    pair of rows top-down.  Row and pair checks are memoised on the rows
+    and the family (_dt_row_fault, _dt_pair_ok): one entry per distinct
+    row and pair the process has checked."""
+    shape = shape_of(rows)
+    if 0 in shape:
+        return "empty row" if strict_dec else f"empty row in shape {shape}"
+    msg = strictness_violation(shape)
     if msg:
         return msg
     for r, row in enumerate(rows):
-        fault = _ssdt_row_fault(row, n)
+        fault = _dt_row_fault(row, lo, hi, strict_dec)
         if fault:
             return f"row {r + 1} {fault}"
     for r in range(len(rows) - 1):
-        if not _ssdt_pair_ok(rows[r], rows[r + 1]):
-            return (
-                f"row {r + 1} is not a maximal hook subword in rows "
-                f"{r + 2},{r + 1}"
-            )
+        if not _dt_pair_ok(rows[r], rows[r + 1], strict_dec):
+            return (f"row {r + 1} is not a maximal "
+                    f"{'unimodal' if strict_dec else 'hook'} subword in rows "
+                    f"{r + 2},{r + 1}")
     return None
 
 
 @functools.cache
-def _ssdt_row_fault(row: tuple[int, ...], n: Optional[int]) -> Optional[str]:
-    """What makes one nonempty row unfit for an SSDT over 1..n (any
-    letters if n is None), or None; validate_ssdt prefixes its number."""
-    if n is not None and (min(row) < 1 or max(row) > n):
-        return f"letter out of range 1..{n}"
-    if not is_hook(row):
-        return "is not a hook word"
+def _dt_row_fault(row: tuple[int, ...], lo: int, hi: Optional[int],
+                  strict_dec: bool) -> Optional[str]:
+    """What makes one nonempty row unfit for _dt_fault's family, or None;
+    the caller prefixes the row's number."""
+    if hi is not None and (min(row) < lo or max(row) > hi):
+        return f"letter out of range {lo}..{hi}"
+    if _vee_ends(row, strict_dec)[1] < len(row):
+        return "is not unimodal" if strict_dec else "is not a hook word"
     return None
+
+
+@functools.cache
+def _dt_pair_ok(upper: tuple[int, ...], lower: tuple[int, ...],
+                strict_dec: bool) -> bool:
+    """The maximality condition coupling two consecutive rows."""
+    return _longest_vee_len(lower + upper, strict_dec) == len(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -508,113 +528,105 @@ def pr(rows: Rows, ptype: Iterable[int]) -> Rows:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _fill(size: int, choices: Callable[[int, list], Iterable]
+          ) -> Iterator[list]:
+    """Every filling of slots 0..size-1, slot k taking each value of
+    choices(k, filled) in turn, where filled[:k] holds the earlier slots'
+    values: a depth-first search, so fillings come in the lexicographic
+    order of the choices.  It keeps an explicit stack, one iterator per
+    filled slot, so a long fill needs no stack frame per slot.  Each
+    filling is the same list, to be read before the next is asked for.
+    """
+    filled: list = [None] * size
+    if not size:
+        yield filled
+        return
+    stack = [iter(choices(0, filled))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        filled[k - 1] = v
+        if k == size:
+            yield filled
+        else:
+            stack.append(iter(choices(k, filled)))
+
+
 def enumerate_st(shape: Sequence[int]) -> list[Rows]:
-    """All standard shifted tableaux of the given strict shape."""
+    """All standard shifted tableaux of the given strict shape, sorted.
+
+    The fill places the values 1..N in turn, value k + 1 at the end of
+    row filled[k], into a cell that is ready: in the shape, with the cell
+    above it filled.
+    """
     shape = check_strict(shape)
-    cells = list(shape_cells(shape))
-    cellset = set(cells)
-    filling: dict[tuple[int, int], int] = {}
-    results: list[Rows] = []
 
-    def ready(cell: tuple[int, int]) -> bool:
-        r, c = cell
-        for nb in ((r, c - 1), (r - 1, c)):
-            if nb in cellset and nb not in filling:
-                return False
-        return True
+    def ready(k: int, filled: list) -> list[int]:
+        done = filled[:k]
+        counts = [done.count(r) for r in range(len(shape))]
+        # row r's next cell lies under row r - 1's cell counts[r] + 1
+        return [r for r, part in enumerate(shape) if counts[r] < part
+                and (r == 0 or counts[r - 1] > counts[r] + 1)]
 
-    def rec(k: int):
-        if k > len(cells):
-            results.append(from_cells(shape, filling))
-            return
-        for cell in cells:
-            if cell not in filling and ready(cell):
-                filling[cell] = k
-                rec(k + 1)
-                del filling[cell]
-
-    rec(1)
-    return sorted(results)
+    return sorted(tuple(tuple(v for v, r in enumerate(filled, 1) if r == row)
+                        for row in range(len(shape)))
+                  for filled in _fill(sum(shape), ready))
 
 
 def enumerate_pt(n: int, shape: Sequence[int],
                  diagonal_unprimed: bool = True) -> list[Rows]:
     """All primed tableaux (or signed ones) of a shape over 1'..n.
 
-    Cells are filled row-major, each with a code from max(west, north)
+    The fill takes the cells row-major, each a code from max(west, north)
     up, so rows and columns weakly increase and a repeated letter sits
     next to its twin: a primed code may not equal its west neighbour (nor
     sit on the diagonal, with diagonal_unprimed), an unprimed one its
-    north neighbour.  The fill keeps an explicit stack, one code iterator
-    per filled cell, so a long shape needs no stack frame per cell.
+    north neighbour.
     """
     shape = check_strict(shape)
     cells = list(shape_cells(shape))
-    if not cells:
-        return [()]
-    results: list[Rows] = []
-    grid: dict[tuple[int, int], int] = {}
+    slot = {cell: k for k, cell in enumerate(cells)}
+    near = [(slot.get((r, c - 1)), slot.get((r - 1, c)),
+             diagonal_unprimed and r == c) for r, c in cells]
 
-    def choices(r: int, c: int) -> Iterator[int]:
-        west, north = grid.get((r, c - 1), 0), grid.get((r - 1, c), 0)
-        for v in range(max(west, north, 1), 2 * n + 1):
-            if code_primed(v):
-                if v == west or (diagonal_unprimed and r == c):
-                    continue
-            elif v == north:
-                continue
-            yield v
+    def codes(k: int, filled: list) -> list[int]:
+        west_at, north_at, diagonal = near[k]
+        west = 0 if west_at is None else filled[west_at]
+        north = 0 if north_at is None else filled[north_at]
+        return [v for v in range(max(west, north, 1), 2 * n + 1)
+                if (v != west and not diagonal if v % 2 else v != north)]
 
-    # stack[k] yields the codes left for cells[k]; a leaf is a full grid
-    stack = [choices(*cells[0])]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            continue
-        grid[cells[len(stack) - 1]] = v
-        if len(stack) == len(cells):
-            results.append(from_cells(shape, grid))
-        else:
-            stack.append(choices(*cells[len(stack)]))
-    return results
+    ends = list(itertools.accumulate(shape))
+    return [tuple(tuple(filled[e - part:e]) for part, e in zip(shape, ends))
+            for filled in _fill(len(cells), codes)]
 
 
 def enumerate_ssdt(n: int, shape: Sequence[int]) -> list[Rows]:
-    """All semistandard decomposition tableaux of a shape over 1..n."""
+    """All semistandard decomposition tableaux of a shape over 1..n.
+
+    The fill takes the rows top-down, each a hook that passes the pair
+    check with the row above.  The hooks of each length come from the
+    fill too, letter by letter: weakly decreasing up to the first rise,
+    then strictly increasing, and a rise only where the letters after it
+    can still climb by one each without passing n.
+    """
     shape = check_strict(shape)
 
     def hooks(length: int) -> list[tuple[int, ...]]:
-        return [
-            w
-            for w in itertools.product(range(1, n + 1), repeat=length)
-            if is_hook(w)
-        ]
+        def letters(j: int, w: list) -> range:
+            room = n - (length - 1 - j)  # the highest letter a rise may take
+            if j >= 2 and w[j - 2] < w[j - 1]:  # past the first rise
+                return range(w[j - 1] + 1, room + 1)
+            return range(1, max(w[j - 1] if j else n, room) + 1)
+        return [tuple(w) for w in _fill(length, letters)]
 
     layers = [hooks(length) for length in shape]
-    results: list[Rows] = []
-    acc: list[tuple[int, ...]] = []
 
-    def rec(r: int):
-        if r == len(shape):
-            results.append(tuple(acc))
-            return
-        for row in layers[r]:
-            if r == 0 or _ssdt_pair_ok(acc[-1], row):
-                acc.append(row)
-                rec(r + 1)
-                acc.pop()
+    def rows(r: int, filled: list) -> list[tuple[int, ...]]:
+        return [row for row in layers[r]
+                if r == 0 or _dt_pair_ok(filled[r - 1], row, False)]
 
-    rec(0)
-    return results
-
-
-@functools.cache
-def _ssdt_pair_ok(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    """The maximality condition coupling two consecutive rows.
-
-    Pure and memoised on the two row tuples: the memo holds one entry per
-    distinct (upper, lower) pair that validate_ssdt or enumerate_ssdt has
-    checked in this process.
-    """
-    return longest_hook_subword_len(lower + upper) == len(upper)
+    return [tuple(filled) for filled in _fill(len(shape), rows)]

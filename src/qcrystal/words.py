@@ -5,10 +5,10 @@ read with the anti-Kashiwara convention (left factor is the "large"
 one).  The even operators below use the standard bracketing shortcut,
 every color in one scan of the word: ``arrows`` gives all of them at
 once (engine.component calls it once per vertex), and ``e_even``/
-``f_even`` are one color of the same scan.  ``unbracketed`` is the
-stack form of one color's bracketing, an oracle for the scan.  The odd
-operators use the leftmost-letter rule.  The tensor-product definition
-itself lives in the test suite as an independent oracle.
+``f_even`` are one color of the same scan.  The odd operators use the
+leftmost-letter rule.  The tensor-product definition and the stack form
+of one color's bracketing live in the test suite as oracles for the
+scan.
 
 A word is a tuple of int letters; operators answer with a tuple.  The
 digit text of a word ("321121") is parsed and printed only by
@@ -50,26 +50,6 @@ def validate(w: Sequence[int], n: int) -> Optional[str]:
         return None
     bad = next(a for a in w if not 1 <= a <= n)
     return f"letter {bad} outside alphabet 1..{n}"
-
-
-def unbracketed(i: int, letters: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Positions of unbracketed letters i+1 (openers) and i (closers).
-
-    Scanning left to right, each letter i closes the most recent still
-    open i+1; what survives is returned as (opener_positions,
-    closer_positions), both in increasing order.
-    """
-    stack: list[int] = []
-    closers: list[int] = []
-    for p, a in enumerate(letters):
-        if a == i + 1:
-            stack.append(p)
-        elif a == i:
-            if stack:
-                stack.pop()
-            else:
-                closers.append(p)
-    return stack, closers
 
 
 def _bold(w: Sequence[int], n: int) -> tuple[list, list]:

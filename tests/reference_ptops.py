@@ -2,7 +2,7 @@
 
 ``_bold_letter`` reads the full reading word with cell provenance
 (``reference_validators.rw_pt_cells``) and brackets it with
-``words.unbracketed``.
+``tensor_oracle.unbracketed``.
 ``f_even_pt`` applies the ribbon rule to the full cell map, or to the
 full conjugate for a primed bold letter, and ``e_even_pt`` rebuilds
 every candidate preimage in full to read its bracketing again.  They are
@@ -18,11 +18,11 @@ cell set that is not a shifted shape.
 
 from typing import Iterator, Optional
 
-from qcrystal import words
 from qcrystal import tableaux as tb
 from qcrystal.ptops import _ribbon, _ribbon_head, _unribbon
 from qcrystal.tableaux import InvariantError, Rows
 from reference_validators import rw_pt_cells
+from tensor_oracle import unbracketed
 
 
 def conjugate(rows: Rows) -> dict[tuple[int, int], int]:
@@ -55,7 +55,7 @@ def _bold_letter(t: Rows, i: int, raising: bool = False
     unbracketed i, or when raising the leftmost unbracketed i+1."""
     items = rw_pt_cells(t)
     values = tuple(v for v, _, _ in items)
-    openers, closers = words.unbracketed(i, values)
+    openers, closers = unbracketed(i, values)
     picks = openers[:1] if raising else closers[-1:]
     if not picks:
         return None

@@ -2,14 +2,16 @@
 
 Implements the crystal structure of B_n(box)^{tensor m} directly from
 the two-factor tensor rules (anti-Kashiwara convention), recursing on a
-left-deep split w = (b_1...b_{m-1}) tensor (b_m).  Nothing here is
-shared with qcrystal.words; agreement of the two implementations is a
-test, not an assumption.
+left-deep split w = (b_1...b_{m-1}) tensor (b_m).  ``unbracketed`` is
+the stack form of one color's bracketing, a second oracle for the
+one-scan bracketing of ``qcrystal.words``.  Nothing here is shared with
+qcrystal.words; agreement of the implementations is a test, not an
+assumption.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 def _eps_letter(i: int, a: int) -> int:
@@ -84,3 +86,23 @@ def f_bar_tensor(w: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         return w[:-1] + (2,) if b2 == 1 else None
     head = f_bar_tensor(b1)
     return None if head is None else head + (b2,)
+
+
+def unbracketed(i: int, letters: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Positions of unbracketed letters i+1 (openers) and i (closers).
+
+    Scanning left to right, each letter i closes the most recent still
+    open i+1; what survives is returned as (opener_positions,
+    closer_positions), both in increasing order.
+    """
+    stack: list[int] = []
+    closers: list[int] = []
+    for p, a in enumerate(letters):
+        if a == i + 1:
+            stack.append(p)
+        elif a == i:
+            if stack:
+                stack.pop()
+            else:
+                closers.append(p)
+    return stack, closers

@@ -335,6 +335,17 @@ def test_enumerate_pt_long_row(capsys):
     assert out.splitlines()[-1] == "count 2000"
 
 
+def test_enumerate_ssdt_long_row(capsys):
+    # hooks are drawn letter by letter, not filtered from all n^L words;
+    # a one-row SSDT of length L over 1..2 is 2..2 1..1 (L + 1 words) or
+    # 2..2 1..1 2 with at least one 1 (L - 1 words)
+    code, out, err = run(capsys, "enumerate", "--what", "ssdt",
+                         "--n", "2", "--shape", "30")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (len(lines), lines[-1]) == (61, "count 60")
+
+
 def test_enumerate_factorizations(capsys):
     code, out, _ = run(capsys, "enumerate", "--what", "factorizations",
                        "--perm", "3,2,-1", "--m", "3")

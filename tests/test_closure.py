@@ -85,9 +85,10 @@ def test_benchmark_ssdt_component_matches_per_call_closure():
 
 def test_ssdt_closure_checks_and_names_each_distinct_row_once():
     # the row checks, the pair checks and the row texts are memoised on
-    # the row tuples, so closing graph-ssdt's component from cleared
-    # memos fills them with exactly its distinct rows and row pairs
-    memos = (tb._ssdt_row_fault, tb._ssdt_pair_ok, tb._plain_row)
+    # the row tuples (the checks also on the family, which SDTs share),
+    # so closing graph-ssdt's component from cleared memos fills them
+    # with exactly its distinct rows and row pairs
+    memos = (tb._dt_row_fault, tb._dt_pair_ok, tb._plain_row)
     for memo in memos:
         memo.cache_clear()
     got = engine.component(models.model_ssdt(5),
@@ -95,7 +96,7 @@ def test_ssdt_closure_checks_and_names_each_distinct_row_once():
     rows = {row for t in got.vertices for row in t}
     pairs = {pair for t in got.vertices for pair in zip(t, t[1:])}
     assert [memo.cache_info().currsize for memo in memos] \
-        == [len(rows), len(pairs), len(rows)]
+        == [len(rows), len(pairs), len(rows)] == [419, 5880, 419]
 
 
 @pytest.mark.parametrize("model,seed", [

