@@ -16,9 +16,10 @@ and checks each vertex once against the model's family (validate).
 Everything else is read off that graph: the string lengths eps/phi, the
 Weyl group action S_i and the odd colors i-bar (e_bar conjugated by
 S_w), axiom checkers that report every violation, highest/lowest vertex
-searches, and DOT/JSON export.  The arrow conditions (weight shift,
-string step, e/f pairing) of the even colors and of "b1" are checked by
-one helper, _arrow_axioms.
+searches, and DOT/JSON export.  One walk, _graph_strings, gives the
+eps/phi tables that gl1-gl3 and q5ii read; one helper, _arrow_axioms,
+checks the arrow conditions (weight shift, string step, e/f pairing) of
+the even colors and of "b1", named after the colors it is given.
 """
 
 from __future__ import annotations
@@ -244,24 +245,6 @@ def _alpha(n: int, i: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _vec_add(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _graph_string(graph: CrystalGraph, edges: dict, color: Color,
-                  u: int) -> Optional[int]:
-    """Length of the color chain from vertex u, or None if it loops."""
-    k = 0
-    seen = {u}
-    while (color, u) in edges:
-        u = edges[(color, u)]
-        k += 1
-        if u in seen:
-            return None
-        seen.add(u)
-    return k
-
-
 def _fail(failures: list, graph: CrystalGraph, condition: str,
           color: Color, u: int, detail: str) -> None:
     """Record one axiom violation at vertex index u."""
@@ -276,33 +259,41 @@ def _fail(failures: list, graph: CrystalGraph, condition: str,
 
 
 def _graph_strings(graph: CrystalGraph, colors) -> tuple[dict, dict]:
-    """eps and phi of the given colors, read off the graph's arrows.
+    """eps and phi of the given colors, read off the graph's arrows: the
+    engine's one string walk.
 
     Both map (color, vertex index) to the length of the e- and f-string
-    there; a pair whose string loops is left out, for gl1 to report.
+    there; a pair whose string loops either way is left out, for gl1 to
+    report and q5ii to skip.  A string that takes as many steps as the
+    graph has vertices has revisited one, so it loops.
     """
-    eps_g: dict[tuple[int, int], int] = {}
-    phi_g: dict[tuple[int, int], int] = {}
-    for u in range(len(graph.vertices)):
+    eps_g: dict[tuple[Color, int], int] = {}
+    phi_g: dict[tuple[Color, int], int] = {}
+    size = len(graph.vertices)
+    for u in range(size):
         for i in colors:
-            ke = _graph_string(graph, graph.e_edges, i, u)
-            kf = _graph_string(graph, graph.f_edges, i, u)
-            if ke is not None and kf is not None:
-                eps_g[(i, u)] = ke
-                phi_g[(i, u)] = kf
+            steps = []
+            for edges in (graph.e_edges, graph.f_edges):
+                x, k = u, 0
+                while (i, x) in edges and k < size:
+                    x, k = edges[(i, x)], k + 1
+                steps.append(k)
+            if max(steps) < size:
+                eps_g[(i, u)], phi_g[(i, u)] = steps
     return eps_g, phi_g
 
 
 def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
-                  phi_g: dict, conditions: tuple, bar: str) -> None:
+                  phi_g: dict) -> None:
     """The arrow conditions on the e- and f-arrows of the given colors.
 
     Every e-arrow, then every f-arrow, must shift the weight by alpha_i
-    (alpha_1 for "b1") and raise phi (along e) or eps (along f) by one
-    where the strings are known at both ends; then every f-arrow, then
-    every e-arrow, must be undone by an arrow of the other dict.
-    conditions names these three checks (gl2, gl3, gl4 or q3, q3, q4),
-    and bar suffixes the operator names in the details.
+    (alpha_1 for "b1"), each root built once per call, and raise phi
+    (along e) or eps (along f) by one where the strings are known at both
+    ends; then every f-arrow, then every e-arrow, must be undone by an
+    arrow of the other dict.  The colors name these three checks and the
+    operators in the details: gl2, gl3, gl4 for the even colors, q3, q3,
+    q4 and e_bar, f_bar for ("b1",).
 
     eps dropping along e and phi dropping along f are not checked: they
     cannot fail.  eps_g is the length of the e-chain read off these very
@@ -311,7 +302,9 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
     likewise phi(u) = phi(v) + 1 along an f-arrow.
     """
     model = graph.model
-    up_c, down_c, pair_c = conditions
+    up_c, down_c, pair_c, bar = (("q3", "q3", "q4", "_bar") if "b1" in colors
+                                 else ("gl2", "gl3", "gl4", ""))
+    roots = {i: _alpha(model.n, 1 if i == "b1" else i) for i in colors}
     ups, downs = (
         [arrow for arrow in edges.items() if arrow[0][0] in colors]
         for edges in (graph.e_edges, graph.f_edges))
@@ -324,7 +317,7 @@ def _arrow_axioms(graph: CrystalGraph, fail, colors, eps_g: dict,
             wu = model.weight(graph.vertices[u])
             wv = model.weight(graph.vertices[v])
             low, high = (wu, wv) if op == "e" else (wv, wu)
-            if high != _vec_add(low, _alpha(model.n, 1 if i == "b1" else i)):
+            if tuple(h - l for h, l in zip(high, low)) != roots[i]:
                 fail(cond, i, u, f"{op}{bar} shifts weight {wu} -> {wv}")
             if ((i, u) in strings and (i, v) in strings
                     and strings[(i, v)] != strings[(i, u)] + 1):
@@ -354,7 +347,7 @@ def check_gl_axioms(graph: CrystalGraph) -> dict:
             p = pairing(model, i, graph.vertices[u])
             if kf != ke + p:
                 fail("gl1", i, u, f"phi={kf}, eps={ke}, pairing={p}")
-    _arrow_axioms(graph, fail, even, eps_g, phi_g, ("gl2", "gl3", "gl4"), "")
+    _arrow_axioms(graph, fail, even, eps_g, phi_g)
     return {
         "suite": "gl-axioms",
         "checked": len(graph.vertices),
@@ -375,11 +368,12 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
     for u, b in enumerate(graph.vertices):
         if any(x < 0 for x in model.weight(b)):
             fail("q2", "b1", u, f"negative weight {model.weight(b)}")
-    _arrow_axioms(graph, fail, ("b1",), {}, {}, ("q3", "q3", "q4"), "_bar")
+    _arrow_axioms(graph, fail, ("b1",), {}, {})
 
     # a missing arrow reads as the vertex None, which starts no arrow
     arrows = {"e": graph.e_edges, "f": graph.f_edges}
     e_bar = [(u, v) for (i, u), v in graph.e_edges.items() if i == "b1"]
+    eps_g, phi_g = _graph_strings(graph, range(3, model.n))
     for i in range(3, model.n):
         for kind, odd in arrows.items():
             for ekind, ev in arrows.items():
@@ -389,14 +383,11 @@ def check_q_axioms(graph: CrystalGraph) -> dict:
                         fail("q5i", i, u,
                              f"{kind}_bar1 and {ekind}_{i} do not commute")
         for u, v in e_bar:
-            eps_u, phi_u, eps_v, phi_v = (
-                _graph_string(graph, edges, i, x)
-                for x in (u, v) for edges in arrows.values())
-            if None in (eps_u, phi_u, eps_v, phi_v):
+            if (i, u) not in eps_g or (i, v) not in eps_g:
                 continue
-            if eps_u != eps_v:
+            if eps_g[(i, u)] != eps_g[(i, v)]:
                 fail("q5ii", i, u, f"eps_{i} changes along e_bar")
-            if phi_u != phi_v:
+            if phi_g[(i, u)] != phi_g[(i, v)]:
                 fail("q5ii", i, u, f"phi_{i} changes along e_bar")
     return report
 

@@ -308,6 +308,7 @@ def pkr_fibre(p: Rows, m: int):
     give p; each T then only cuts that word into signed factors and
     records them, which must give T back.
     """
+    p = tb.freeze(p)  # compared with the tuple rows insertion rebuilds
     msg = validate_sdt(p)
     if msg is not None:
         raise NotInImage(f"insertion tableau invalid: {msg}")
@@ -333,6 +334,7 @@ def pkr_fibre(p: Rows, m: int):
         return None
 
     def inverse(t: Rows):
+        t = tb.freeze(t)
         msg = tb.validate_pt(t, diagonal_unprimed=False)
         if msg is not None:
             raise NotInImage(f"recording tableau invalid: {msg}")

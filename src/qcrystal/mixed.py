@@ -128,6 +128,7 @@ def _reverse_chain(rows: Rows, r: int, c: int) -> tuple[Rows, int]:
 
 def hm_inverse(p: Rows, q: Rows) -> tuple[int, ...]:
     """The word w with hm(w) = (p, q); raises NotInImage otherwise."""
+    p, q = tb.freeze(p), tb.freeze(q)  # hm's rows are tuples
     msg = tb.validate_pt(p)
     if msg is not None:
         raise NotInImage(f"insertion tableau invalid: {msg}")

@@ -412,9 +412,9 @@ def _dt_fault(rows: Rows, lo: int, hi: Optional[int],
     1..n, kraskiewicz.validate_sdt the strict one over 0..n-1.
 
     Checks the shape, each row top-down (letters, then vee), then each
-    pair of rows top-down.  Row and pair checks are memoised on the rows
-    and the family (_dt_row_fault, _dt_pair_ok): one entry per distinct
-    row and pair the process has checked."""
+    pair of rows top-down.  Row and pair checks are memoised on the rows,
+    as tuples, and the family (_dt_row_fault, _dt_pair_ok): one entry per
+    distinct row and pair the process has checked."""
     shape = shape_of(rows)
     if 0 in shape:
         return "empty row" if strict_dec else f"empty row in shape {shape}"
@@ -422,11 +422,11 @@ def _dt_fault(rows: Rows, lo: int, hi: Optional[int],
     if msg:
         return msg
     for r, row in enumerate(rows):
-        fault = _dt_row_fault(row, lo, hi, strict_dec)
+        fault = _dt_row_fault(tuple(row), lo, hi, strict_dec)
         if fault:
             return f"row {r + 1} {fault}"
     for r in range(len(rows) - 1):
-        if not _dt_pair_ok(rows[r], rows[r + 1], strict_dec):
+        if not _dt_pair_ok(tuple(rows[r]), tuple(rows[r + 1]), strict_dec):
             return (f"row {r + 1} is not a maximal "
                     f"{'unimodal' if strict_dec else 'hook'} subword in rows "
                     f"{r + 2},{r + 1}")

@@ -45,17 +45,6 @@ def _merge(suite: str, reports) -> dict:
     return _report(suite, checked, failures)
 
 
-def _disagreement(explicit, transported, x):
-    """None if explicit(x) == transported(x), else why not: the message of
-    the ValueError either raised, or that they differ."""
-    try:
-        if explicit(x) == transported(x):
-            return None
-    except ValueError as exc:
-        return str(exc)
-    return "transport disagrees with the rule"
-
-
 def _all_words(n: int, length: int):
     return itertools.product(range(1, n + 1), repeat=length)
 
@@ -361,14 +350,17 @@ def check_pt_transport(n: int, max_size: int) -> dict:
         for w, (t, q) in table.items():
             for name, rule, word_op in ops:
                 checked += 1
-                detail = _disagreement(rule, lambda _: _hm_image(
-                    w, word_op, table), t)
-                if detail is not None:
-                    failures.append({
-                        "check": "pt-transport", "op": name,
-                        "t": tb.fmt_primed(t), "q": tb.fmt_plain(q),
-                        "detail": detail,
-                    })
+                try:
+                    if rule(t) == _hm_image(w, word_op, table):
+                        continue
+                    detail = "transport disagrees with the rule"
+                except ValueError as exc:
+                    detail = str(exc)
+                failures.append({
+                    "check": "pt-transport", "op": name,
+                    "t": tb.fmt_primed(t), "q": tb.fmt_plain(q),
+                    "detail": detail,
+                })
     return _report("pt-transport", checked, failures)
 
 
@@ -415,14 +407,18 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
                     ("e_bar1", fc.e_bar1_fact, ptops.e_signed),
                     ("f_bar1", fc.f_bar1_fact, ptops.f_signed),
                 ):
-                    detail = _disagreement(explicit, lambda x: _odd_transport(
-                        x, op, mm, table, pairs), fact)
-                    if detail is not None:
-                        failures.append({
-                            "check": "fact-transport", "op": name,
-                            "fact": typeb.fmt_factorization(fact),
-                            "detail": detail,
-                        })
+                    try:
+                        if explicit(fact) == _odd_transport(
+                                fact, op, mm, table, pairs):
+                            continue
+                        detail = "transport disagrees with the rule"
+                    except ValueError as exc:
+                        detail = str(exc)
+                    failures.append({
+                        "check": "fact-transport", "op": name,
+                        "fact": typeb.fmt_factorization(fact),
+                        "detail": detail,
+                    })
     if perm and not checked:
         bound = f"m = {m}" if m is not None else f"m <= {max_m}"
         raise ValueError(f"perm {typeb.fmt_perm(tuple(perm))} has no "

@@ -424,6 +424,51 @@ def test_planted_faults_whole_reports():
     assert _rows(engine.check_q_axioms(g), "q-axioms", 16) == _PLANTED_REPORT
 
 
+def test_planted_q5_faults_whole_report_n5():
+    # q5 reads colours 3 and 4 here.  e_bar 24 -> 14 retargeted to 15
+    # changes both strings of colour 4 and eps_3; an f_4 self-loop at 23
+    # (23 -e_bar-> 13) leaves its colour-4 strings unknown, which gl1
+    # reports and q5ii skips
+    g = engine.component(words_model(5), W("11"))
+    index = {g.model.fmt(b): u for u, b in enumerate(g.vertices)}
+    g.e_edges[("b1", index["24"])] = index["15"]
+    g.f_edges[(4, index["23"])] = index["23"]
+    assert _rows(engine.check_q_axioms(g), "q-axioms", 25) == [
+        ("gl1", 4, "23", "operator chain loops"),
+        ("gl3", 4, "23", "f shifts weight (0, 1, 1, 0, 0) -> (0, 1, 1, 0, 0)"),
+        ("gl4", 4, "23", "f-arrow without matching e-arrow"),
+        ("q3", "b1", "24",
+         "e_bar shifts weight (0, 1, 0, 1, 0) -> (1, 0, 0, 0, 1)"),
+        ("q4", "b1", "14", "f_bar-arrow without matching e_bar-arrow"),
+        ("q4", "b1", "24", "e_bar-arrow without matching f_bar-arrow"),
+        ("q5i", 3, "24", "e_bar1 and e_3 do not commute"),
+        ("q5i", 3, "23", "e_bar1 and f_3 do not commute"),
+        ("q5ii", 3, "24", "eps_3 changes along e_bar"),
+        ("q5i", 4, "24", "e_bar1 and e_4 do not commute"),
+        ("q5i", 4, "25", "e_bar1 and e_4 do not commute"),
+        ("q5i", 4, "23", "e_bar1 and f_4 do not commute"),
+        ("q5i", 4, "24", "e_bar1 and f_4 do not commute"),
+        ("q5i", 4, "13", "f_bar1 and f_4 do not commute"),
+        ("q5ii", 4, "24", "eps_4 changes along e_bar"),
+        ("q5ii", 4, "24", "phi_4 changes along e_bar"),
+    ]
+
+
+def test_q_axioms_walk_the_strings_twice(monkeypatch):
+    # one eps/phi table for the gl checks, one for q5's colours >= 3
+    calls = []
+    walk = engine._graph_strings
+
+    def counted(graph, colors):
+        calls.append(list(colors))
+        return walk(graph, colors)
+
+    monkeypatch.setattr(engine, "_graph_strings", counted)
+    assert engine.check_q_axioms(
+        engine.component(words_model(5), W("11")))["failures"] == []
+    assert calls == [[1, 2, 3, 4], [3, 4]]
+
+
 def test_negative_weight_and_missing_odd_pair_reports():
     model = words_model(4)
     shifted = dataclasses.replace(

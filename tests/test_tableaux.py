@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference_ptops as ref_ptops
 import reference_validators as ref
 from qcrystal import kraskiewicz as kw
-from qcrystal import models, ptops
+from qcrystal import mixed, models, ptops
 from qcrystal import tableaux as tb
 from qcrystal.typeb import parse_word
 
@@ -334,6 +334,32 @@ def test_validate_ssdt_maximality():
     bad = tb.parse_plain("1 2 / 1")
     # hook subword of 1,1,2 has length 3 > 2
     assert tb.validate_ssdt(bad, n=2) is not None
+
+
+_HM = mixed.hm((1, 2, 2, 1))
+_KR = kw.kr((0, 1, 0))
+_PKR = kw.pkr(((1, (2, 0, 1)), (1, (3,))))
+
+
+@pytest.mark.parametrize("func,args", [
+    (tb.validate_pt, (_HM[0], 2)),
+    (tb.validate_pt, (tb.parse_primed("1 2' 2' / 3"), 3)),
+    (tb.validate_st, (_HM[1],)),
+    (tb.validate_st, (((1, 3), (2,)),)),
+    (tb.validate_ssdt, (((2, 1), (1,)), 2)),
+    (tb.validate_ssdt, (((1, 2), (1,)), 2)),
+    (kw.validate_sdt, (_KR[0], 3)),
+    (kw.validate_sdt, (((0, 1), (0,)), 3)),
+    (mixed.hm_inverse, _HM),
+    (kw.kr_inverse, _KR),
+    (kw.pkr_inverse, (*_PKR, 2)),
+], ids=["pt", "pt-fault", "st", "st-fault", "ssdt", "ssdt-fault", "sdt",
+        "sdt-fault", "hm_inverse", "kr_inverse", "pkr_inverse"])
+def test_list_rows_give_the_tuple_answer(func, args):
+    # every tuple argument is a tableau; its list form answers the same
+    listed = [[list(row) for row in a] if isinstance(a, tuple) else a
+              for a in args]
+    assert func(*listed) == func(*args)
 
 
 # ---------------------------------------------------------------------------
