@@ -41,8 +41,11 @@ class CapExceeded(Exception):
     """Component closure touched more vertices than allowed."""
 
     def __init__(self, cap: int):
-        super().__init__(f"component exceeded the vertex cap {cap}")
+        super().__init__(cap)  # args is (cap,), so a pickled copy is equal
         self.cap = cap
+
+    def __str__(self) -> str:
+        return f"component exceeded the vertex cap {self.cap}"
 
 
 @dataclass(frozen=True)

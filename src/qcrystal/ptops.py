@@ -44,11 +44,11 @@ def e_bar1_pt(t: Rows) -> Optional[Rows]:
     row = list(t[0])
     if row[0] == tb.code(2, False):
         row[0] = tb.code(1, False)
-        return (tuple(row),) + t[1:]
+        return (tuple(row),) + tb.freeze(t[1:])
     for j in range(1, len(row)):
         if row[j] == tb.code(2, True):
             row[j] = tb.code(1, False)
-            return (tuple(row),) + t[1:]
+            return (tuple(row),) + tb.freeze(t[1:])
     return None
 
 
@@ -72,7 +72,7 @@ def f_bar1_pt(t: Rows) -> Optional[Rows]:
     if j + 1 < len(row) and row[j + 1] == tb.code(2, True):
         return None
     row[j] = tb.code(2, False) if j == 0 else tb.code(2, True)
-    return (tuple(row),) + t[1:]
+    return (tuple(row),) + tb.freeze(t[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +191,8 @@ def _reflect(cells: dict[tuple[int, int], int], shift: int
 
 def _write(t: Rows, cells: dict[tuple[int, int], int]) -> Rows:
     """t with the given cells rewritten; only the rows that change are
-    rebuilt."""
-    rows = list(t)
+    rebuilt (tuple(row), the identity on tuples, keeps the others)."""
+    rows = list(map(tuple, t))
     for (r, c), v in cells.items():
         row = rows[r]
         if row[c - r] != v:

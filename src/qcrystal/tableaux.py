@@ -145,7 +145,7 @@ def code_primed(c: int) -> bool:
 
 
 def freeze(rows: Iterable[Sequence[int]]) -> Rows:
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 class NotInImage(ValueError):
@@ -177,11 +177,12 @@ def fmt_primed(rows: Rows) -> str:
 def fmt_plain(rows: Rows) -> str:
     """Rows of plain letters as text: "3 2 / 1".
 
-    Each row's text is memoised (_plain_row), keyed on the row tuple; the
-    text depends on the row alone, and the memo holds one string per
-    distinct row the process has formatted.
+    Each row's text is memoised (_plain_row), keyed on the row tuple
+    (tuple(row), the identity on tuples); the text depends on the row
+    alone, and the memo holds one string per distinct row the process has
+    formatted.
     """
-    return " / ".join(map(_plain_row, rows))
+    return " / ".join(map(_plain_row, map(tuple, rows)))
 
 
 @functools.cache
@@ -498,10 +499,11 @@ def prime_type(rows: Rows) -> frozenset[int]:
 
 
 def dpr(rows: Rows) -> tuple[Rows, frozenset[int]]:
-    """Strip diagonal primes, remembering where they were."""
+    """Strip diagonal primes, remembering where they were; the rows come
+    back as tuples (tuple(row), the identity on tuples)."""
     ptype = prime_type(rows)
     out = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(map(tuple, rows)):
         if r + 1 in ptype:
             out.append((row[0] + 1,) + row[1:])
         else:

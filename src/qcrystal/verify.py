@@ -18,11 +18,20 @@ length (``_hm_table``).  Nothing a table lacks falls back to an
 insertion: it is the witness.  verify_all builds each P-fibre table in
 the transport sweep and keeps only its round-trip result, which the pkr
 round trip then reports.
+
+verify_all runs in two processes, so it needs ``os.fork`` (POSIX), and
+its caller should run no other thread while it forks.  A forked child
+runs every suite that reads no P-fibre table: the axioms, the hm and kr
+round trips, the tableau transport and highlow.  At the same time the
+parent runs the factorization transport and then the pkr round trip off
+its tables, and merges the reports in the documented order.  The other
+suites run in-process.
 """
 
 import dataclasses
 import functools
 import itertools
+import os
 
 from . import engine
 from . import factorization as fc
@@ -274,8 +283,7 @@ def check_pkr_roundtrip(rank: int, max_len: int, max_m: int,
     return _report("pkr-roundtrip", checked, failures)
 
 
-def verify_bijections(n: int = 3, max_size: int = 5,
-                      _roundtrips=None) -> dict:
+def verify_bijections(n: int = 3, max_size: int = 5) -> dict:
     """Round-trips for all three insertions plus the vee lemma.
 
     The primed insertion sweep is pinned to rank 3, length 5, m 3 (the
@@ -286,7 +294,7 @@ def verify_bijections(n: int = 3, max_size: int = 5,
     return _merge("bijections", [
         check_hm_roundtrip(n, max_size),
         check_kr_roundtrip(n, max_size),
-        check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3, _roundtrips),
+        check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3),
     ])
 
 
@@ -427,14 +435,14 @@ def check_fact_transport(rank: int = 3, max_len: int = 5,
 
 
 def verify_equivalence(n: int = 3, max_size: int = 5,
-                       perm=None, m=None, _roundtrips=None) -> dict:
+                       perm=None, m=None) -> dict:
     """Both operator-equivalence theorems: on primed tableaux for every
     recording tableau, and on factorizations (rank 3, length <= 5)."""
     reports = []
     if perm is None:
         reports.append(check_pt_transport(min(n, 3), max_size))
     reports.append(check_fact_transport(
-        3, min(max_size, 5), 3, perm=perm, m=m, _roundtrips=_roundtrips))
+        3, min(max_size, 5), 3, perm=perm, m=m))
     return _merge("equivalence", reports)
 
 
@@ -480,18 +488,91 @@ def verify_highlow(n: int = 3, max_size: int = 5) -> dict:
 
 # ---------------------------------------------------------------------------
 
+def _forked(work):
+    """Start work() in a forked child; return wait(cancel=False).
+
+    wait() reads the child's result to EOF, reaps the child and returns
+    the result, or raises the exception work raised; a child that died
+    or could not send its result is an InvariantError.  wait(cancel=True)
+    kills and reaps the child and reads nothing.
+    """
+    import pickle  # only verify_all forks: keep both off the CLI import
+    import signal
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's stack, and leaves by
+        # os._exit, so it flushes nothing it inherited
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, work())
+            except BaseException as exc:
+                result = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+
+    def wait(cancel=False):
+        try:
+            if cancel:
+                os.close(read_end)
+                os.kill(pid, signal.SIGKILL)
+                return None
+            # to EOF before waitpid: a large result fills the pipe
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise tb.InvariantError(
+                f"the verify_all child sent no result (exit {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+    return wait
+
+
+def _child_suites(n: int, max_size: int, perm=None):
+    """The suites of verify_all that read no P-fibre table: the axioms,
+    the hm and kr round trips, the tableau transport (only without a
+    perm, as in verify_equivalence) and highlow."""
+    return (verify_axioms(n, max_size),
+            check_hm_roundtrip(n, max_size),
+            check_kr_roundtrip(n, max_size),
+            [check_pt_transport(min(n, 3), max_size)] if perm is None else [],
+            verify_highlow(n, max_size))
+
+
 def verify_all(n: int = 3, max_size: int = 5, perm=None, m=None) -> dict:
-    # equivalence first, so a --perm with nothing to check fails at once,
-    # and so its P-fibre tables serve the pkr round trip too; the reports
-    # still merge in the documented order
-    roundtrips: dict = {}
-    equivalence = verify_equivalence(n, max_size, perm=perm, m=m,
-                                     _roundtrips=roundtrips)
+    """Every suite, in two processes: a forked child runs _child_suites
+    while the parent runs the factorization transport, so a --perm with
+    nothing to check fails at once, and then the pkr round trip off its
+    P-fibre tables.  The reports merge in the documented order."""
+    wait = _forked(lambda: _child_suites(n, max_size, perm))
+    try:
+        roundtrips: dict = {}
+        fact = check_fact_transport(3, min(max_size, 5), 3, perm=perm, m=m,
+                                    _roundtrips=roundtrips)
+        pkr = check_pkr_roundtrip(min(n, 3), min(max_size, 5), 3, roundtrips)
+    except BaseException:
+        wait(cancel=True)
+        raise
+    axioms, hm, kr, pt, highlow = wait()
     return _merge("all", [
-        verify_axioms(n, max_size),
-        verify_bijections(n, max_size, roundtrips),
-        equivalence,
-        verify_highlow(n, max_size),
+        axioms,
+        _merge("bijections", [hm, kr, pkr]),
+        _merge("equivalence", [*pt, fact]),
+        highlow,
     ])
 
 

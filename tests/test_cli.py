@@ -1,6 +1,10 @@
 import collections
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -626,6 +630,91 @@ def test_verify_all_rejects_a_bad_perm_before_other_suites(capsys,
     assert out == ""
     assert err == ("error: perm -1,-2,-3 has no factorization with m = 1: "
                    "nothing to check\n")
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_kills_its_child_on_a_bad_perm(capsys, monkeypatch):
+    # the child starts its suites at once; the parent's error kills it
+    monkeypatch.setattr(verify, "verify_axioms",
+                        lambda *args, **kwargs: time.sleep(30))
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "--suite", "all",
+                         "--perm=-1,-2,-3", "--m", "1")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err == ("error: perm -1,-2,-3 has no factorization with m = 1: "
+                   "nothing to check\n")
+    no_child_left()
+
+
+def test_internal_error_in_the_child_exits_4(capsys, monkeypatch):
+    def planted(n, max_size):
+        raise tb.InvariantError("planted fault")
+
+    monkeypatch.setattr(verify, "verify_highlow", planted)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n", "2",
+                         "--max-size", "3")
+    assert (code, out, err) == (4, "", "internal error: planted fault\n")
+    no_child_left()
+
+
+def test_vertex_cap_in_the_child_exits_3(capsys, monkeypatch):
+    # the axioms suite, in the child, closes a component of 10+ vertices
+    monkeypatch.setenv("QCRYSTAL_MAX_VERTICES", "10")
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert (code, out) == (3, "")
+    assert err == "error: component exceeded the vertex cap 10\n"
+    no_child_left()
+
+
+@pytest.mark.parametrize("plant,exit", [
+    (lambda *args: os._exit(7), 7),
+    (lambda *args: {"suite": "highlow", "checked": 1,
+                    "failures": [lambda: None]}, 1),
+], ids=["died", "unpicklable"])
+def test_child_without_a_result_is_an_internal_error(capsys, monkeypatch,
+                                                     plant, exit):
+    monkeypatch.setattr(verify, "verify_highlow", plant)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n", "2",
+                         "--max-size", "2")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: the verify_all child sent no result "
+                   f"(exit {exit})\n")
+    no_child_left()
+
+
+def test_verify_all_forks_once(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    report = verify.verify_all(2, 3)
+    assert (report["checked"], report["failures"], len(forks)) == (
+        1699, [], 1)
+    no_child_left()
+
+
+def test_verify_all_output_survives_optimize_flag():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["-m", "qcrystal", "verify", "--suite", "all", "--n", "2",
+            "--max-size", "3"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       text=True, env=env, timeout=120)
+        for flags in ([], ["-O"]))
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (optimized.returncode, optimized.stderr) == (0, "")
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["checked"] == 1699
 
 
 @pytest.mark.parametrize("suite", ["axioms", "bijections", "highlow"])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -252,6 +253,13 @@ def test_cap_exceeded(monkeypatch):
     with pytest.raises(engine.CapExceeded) as exc:
         engine.component(model, W("11"))
     assert exc.value.cap == 3
+
+
+def test_cap_exceeded_survives_pickling():
+    # verify_all's child sends its exception to the parent pickled
+    exc = pickle.loads(pickle.dumps(engine.CapExceeded(10)))
+    assert (type(exc), exc.cap, str(exc)) == (
+        engine.CapExceeded, 10, "component exceeded the vertex cap 10")
 
 
 def test_cap_from_env(monkeypatch):

@@ -353,8 +353,18 @@ _PKR = kw.pkr(((1, (2, 0, 1)), (1, (3,))))
     (mixed.hm_inverse, _HM),
     (kw.kr_inverse, _KR),
     (kw.pkr_inverse, (*_PKR, 2)),
+    (tb.fmt_plain, (((2, 1), (1,)),)),
+    (ptops.arrows_pt, (tb.parse_primed("1 2' 2 / 3"), 3)),
+    (ptops.arrows_signed, (tb.parse_primed("1 2' 2 / 3"), 3)),
+    (ptops.arrows_signed, (tb.parse_primed("1' 2' 2 / 3'"), 3)),
+    (ptops.e_bar1_pt, (tb.parse_primed("1 2' 2 / 3"),)),
+    (ptops.f_bar1_pt, (tb.parse_primed("1 1 1 / 2"),)),
+    (ptops.f_even_pt, (1, tb.parse_primed("1 1 1 3' / 2 3 3"))),
+    (ptops.e_even_pt, (2, tb.parse_primed("1 1 1 3' / 2 3 3"))),
 ], ids=["pt", "pt-fault", "st", "st-fault", "ssdt", "ssdt-fault", "sdt",
-        "sdt-fault", "hm_inverse", "kr_inverse", "pkr_inverse"])
+        "sdt-fault", "hm_inverse", "kr_inverse", "pkr_inverse", "fmt_plain",
+        "arrows_pt", "arrows_signed", "arrows_signed-primed", "e_bar1_pt",
+        "f_bar1_pt", "f_even_pt", "e_even_pt"])
 def test_list_rows_give_the_tuple_answer(func, args):
     # every tuple argument is a tableau; its list form answers the same
     listed = [[list(row) for row in a] if isinstance(a, tuple) else a

@@ -3,7 +3,8 @@
 Re-inserting per element (a pkr per factorization, an hm_inverse and an
 hm per transported tableau, a check of P per recording tableau) changes
 no report or graph, only the number of insertion calls, so those of
-verify_all(3, 5) and of the graph-fact closure are pinned here.
+verify_all(3, 5), in each of its two processes, and of the graph-fact
+closure are pinned here.
 """
 
 import collections
@@ -46,6 +47,10 @@ def _count(monkeypatch, calls, names):
 
 
 def test_verify_all_inserts_each_element_once(monkeypatch):
+    # verify_all runs _child_suites in a forked child, whose calls these
+    # counters do not see: the parent's share is pinned through
+    # verify_all, the child's by the same function in-process, and the
+    # pins hold for the two together
     fibres = _pkr_fibres(3, 5, 3)
     calls = collections.Counter()
     _count(monkeypatch, calls, (
@@ -54,15 +59,30 @@ def test_verify_all_inserts_each_element_once(monkeypatch):
         (ptops, "transport_op")))
     report = verify.verify_all(3, 5)
     assert (report["checked"], report["failures"]) == (13519, [])
+    parent = calls.copy()
+    # the parent opens each P-fibre once, in the transport sweep, and the
+    # pkr round trip reads those tables: no second table; the inverse
+    # runs once per pair (3,203 factorizations)
+    assert parent["pkr_fibre"] == fibres
+    assert parent["inverse"] == 3203
+    assert parent["validate_sdt"] == parent["pkr"] + parent["pkr_fibre"]
+    calls.clear()
+    verify._child_suites(3, 5)
+    child = calls.copy()
     # the PT transport reads one forward hm table per size, with no
     # fallback: one hm per word of length <= 5 there (the empty word
     # aside) and one in the hm round trip
-    assert calls["transport_op"] == 0
-    assert calls["hm"] == 364 + 363 == 727
+    assert child["hm"] == 364 + 363 == 727
     # only the hm round trip inverts, once per word of length <= 5
-    assert calls["hm_inverse"] == sum(3 ** k for k in range(6)) == 364
+    assert child["hm_inverse"] == sum(3 ** k for k in range(6)) == 364
     # the kr round trip inserts each reduced word of length <= 5 once,
     # and the vee sweep reads Q off it
+    assert child["kr"] == child["kr_inverse"] == 58
+    # each kr_inverse is one pkr_fibre whose inverse runs once
+    assert child["pkr_fibre"] == child["inverse"] == 58
+    calls = parent + child
+    assert calls["transport_op"] == 0
+    assert (calls["hm"], calls["hm_inverse"]) == (727, 364)
     assert calls["kr"] == calls["kr_inverse"] == 58
     # one pkr_fibre per opened P-fibre and one per kr_inverse; its
     # inverse runs once per pair (3,203 factorizations) and per kr_inverse
